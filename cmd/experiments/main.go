@@ -15,16 +15,17 @@
 // substitutes shortened simulation windows (useful for smoke runs); the
 // default reproduces the paper's 60-second steady-state measurement
 // protocol. With -csv the raw per-point data are also written as CSV files
-// into the given directory. With -metrics the figures also emit one
-// time-series dump (<cell>.series.tsv: cwnd, ssthresh, RTT estimates,
+// into the given directory. With -metrics the figures (fig2, fig3, fig4,
+// fig6) and the four matrices (faultmatrix, churnmatrix, reordermatrix,
+// repairmatrix) also emit one time-series dump (<cell>.series.tsv: cwnd, ssthresh, RTT estimates,
 // queue depth, drops) and one run manifest (<cell>.manifest.json: seed,
 // topology, parameters, events/sec, final counters) per simulation cell,
 // plus a run-level aggregate. -parallel caps the number of concurrent
 // simulation cells (default: one per CPU); use -parallel 1 together with
 // -cpuprofile for cleanly attributable profiles.
 //
-// With -trace the trace-aware experiments (currently faultmatrix) also
-// write one Perfetto-loadable Chrome trace (<cell>.trace.json) and one
+// With -trace the four matrices (faultmatrix, churnmatrix, reordermatrix,
+// repairmatrix) also write one Perfetto-loadable Chrome trace (<cell>.trace.json) and one
 // span TSV (<cell>.spans.tsv) per simulation cell into the directory; see
 // TRACING.md.
 //
@@ -82,7 +83,7 @@ func main() {
 	check := flag.Bool("check", false, "attach the invariant oracle to every cell; violations fail the run")
 	fuzz := flag.Int("fuzz", 0, "run N randomized invariant-checked scenarios instead of experiments")
 	fuzzSeed := flag.Int64("fuzz-seed", 0, "replay one fuzz scenario by seed and report its violations")
-	traceDir := flag.String("trace", "", "directory to write per-cell Perfetto traces + span TSVs into (faultmatrix)")
+	traceDir := flag.String("trace", "", "directory to write per-cell Perfetto traces + span TSVs into (fault/churn/reorder/repair matrices)")
 	flightRec := flag.Bool("flight-recorder", false, "arm the flight recorder: violations dump causal trails (with -trace or -fuzz/-fuzz-seed)")
 	heartbeat := flag.Duration("heartbeat", 0, "emit live engine heartbeats at this wall-clock interval (city; JSONL lands in -metrics)")
 	engineProfile := flag.Bool("engine-profile", false, "write per-shard window profiles + Perfetto shard lanes into -metrics (city)")

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tcppr/internal/core"
+	"tcppr/internal/metrics"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
@@ -58,28 +59,24 @@ type AblationBetaResult struct {
 }
 
 // RunAblationBeta reproduces the §4 text observation about β under heavy
-// loss.
+// loss. The β values run in parallel across the available CPUs.
 func RunAblationBeta(cfg AblationBetaConfig) AblationBetaResult {
 	cfg.fill()
-	res := AblationBetaResult{Config: cfg}
-	for _, beta := range cfg.Betas {
+	in := instruments{inv: cfg.Invariants}
+	points := parallelMap(len(cfg.Betas), func(i int) AblationBetaPoint {
+		beta := cfg.Betas[i]
 		s := dumbbellScenario(cfg.Flows, topo.Mbps(cfg.BandwidthMbps))
-		ic := cfg.Invariants.watch(fmt.Sprintf("ablation-beta_b%g", beta), s.sched, s.net)
-		flows := mixedRun(s, workload.TCPPR, workload.TCPSACK,
-			workload.PRParams{Beta: beta}, cfg.Durations, nil, ic)
-		ic.finish()
-		bytes := make([]float64, len(flows))
-		for i, f := range flows {
-			bytes[i] = float64(f.WindowBytes())
-		}
-		norm := stats.Normalized(bytes)
-		meanPR, meanSACK := protocolMeans(flows, norm, workload.TCPPR, workload.TCPSACK)
-		res.Points = append(res.Points, AblationBetaPoint{
+		c := in.open(fmt.Sprintf("ablation-beta_b%g", beta), s.sched, s.net)
+		flows := mixedRun(c, s, workload.TCPPR, workload.TCPSACK,
+			workload.PRParams{Beta: beta}, cfg.Durations, nil)
+		c.finish(metrics.Manifest{})
+		meanPR, meanSACK := protocolMeans(flows, normalizedWindows(flows), workload.TCPPR, workload.TCPSACK)
+		return AblationBetaPoint{
 			Beta: beta, LossRate: s.lossRate(),
 			MeanSACK: meanSACK, MeanPR: meanPR,
-		})
-	}
-	return res
+		}
+	})
+	return AblationBetaResult{Config: cfg, Points: points}
 }
 
 // Table renders the β sweep.
@@ -135,42 +132,64 @@ type AblationBurstRow struct {
 
 // RunAblationMemorize contrasts normal TCP-PR against one whose memorize
 // list never absorbs drops (every drop halves), quantifying the paper's
-// "one reaction per burst" design choice. Both run as a single flow on a
-// small-buffer dumbbell that produces multi-drop congestion events.
+// "one reaction per burst" design choice.
 func RunAblationMemorize(d Durations, inv ...*InvariantOptions) AblationBurstResult {
-	opts := firstInv(inv)
-	run := func(name string, disable bool) AblationBurstRow {
+	return runBurstAblation("ablation-memorize ", d, firstInv(inv), []burstVariant{
+		{"memorize (paper)", core.Config{}},
+		{"no memorize", core.Config{DisableMemorize: true}},
+	})
+}
+
+// RunAblationSendCwnd contrasts halving from the cwnd recorded at send
+// time (the paper's choice, insensitive to detection delay) against
+// halving from the current cwnd.
+func RunAblationSendCwnd(d Durations, inv ...*InvariantOptions) AblationBurstResult {
+	return runBurstAblation("ablation-sendcwnd ", d, firstInv(inv), []burstVariant{
+		{"cwnd at send time (paper)", core.Config{}},
+		{"current cwnd", core.Config{HalveFromCurrentCwnd: true}},
+	})
+}
+
+// burstVariant is one TCP-PR configuration of a burst ablation.
+type burstVariant struct {
+	name string
+	cfg  core.Config
+}
+
+// runBurstAblation runs each variant as a single TCP-PR flow on a
+// small-buffer dumbbell that produces multi-drop congestion events, in
+// parallel, and reports goodput plus the sender's drop-reaction counters.
+func runBurstAblation(prefix string, d Durations, inv *InvariantOptions, variants []burstVariant) AblationBurstResult {
+	in := instruments{inv: inv}
+	rows := parallelMap(len(variants), func(i int) AblationBurstRow {
+		v := variants[i]
 		sched := sim.NewScheduler()
 		db := topo.NewDumbbell(sched, topo.DumbbellConfig{
 			Hosts: 1, BottleneckBW: topo.Mbps(8), Queue: 20,
 		})
-		ic := opts.watch("ablation-memorize "+name, sched, db.Net)
-		f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-			routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
+		c := in.open(prefix+v.name, sched, db.Net)
+		f := singleFlow(db)
 		var s *core.Sender
 		f.Attach(func(env tcp.SenderEnv) tcp.Sender {
-			s = core.New(env, core.Config{DisableMemorize: disable})
+			s = core.New(env, v.cfg)
 			return s
 		})
 		f.Start(0)
-		ic.flow(f, workload.TCPPR)
+		c.attach(f, workload.TCPPR)
 		var start, end int64
 		sched.At(d.Warm, func() { start = f.UniqueBytes() })
 		sched.At(d.Warm+d.Measure, func() { end = f.UniqueBytes() })
 		sched.RunUntil(d.Warm + d.Measure)
-		ic.finish()
+		c.finish(metrics.Manifest{})
 		return AblationBurstRow{
-			Name:       name,
+			Name:       v.name,
 			Mbps:       stats.Mbps(stats.Throughput(end-start, d.Measure)),
 			Halvings:   s.Halvings,
 			BurstDrops: s.BurstDrops,
 			Extremes:   s.ExtremeEvents,
 		}
-	}
-	return AblationBurstResult{Rows: []AblationBurstRow{
-		run("memorize (paper)", false),
-		run("no memorize", true),
-	}}
+	})
+	return AblationBurstResult{Rows: rows}
 }
 
 // RunAblationHoleMode contrasts TCP-PR's three hole policies (see
@@ -178,15 +197,12 @@ func RunAblationMemorize(d Durations, inv ...*InvariantOptions) AblationBurstRes
 // TCP-PR/TCP-SACK flows on a dumbbell. It quantifies the DESIGN.md
 // resolution-6 measurement.
 func RunAblationHoleMode(d Durations, inv ...*InvariantOptions) *Table {
-	opts := firstInv(inv)
-	t := &Table{
-		Title:  "Ablation: TCP-PR hole policy (8 PR + 8 SACK flows, dumbbell)",
-		Header: []string{"policy", "mean_norm_TCP-PR", "mean_norm_TCP-SACK"},
-	}
-	for _, mode := range []core.HoleMode{core.HoleThrottled, core.HoleFreeze, core.HoleFullClock} {
-		mode := mode
+	in := instruments{inv: firstInv(inv)}
+	modes := []core.HoleMode{core.HoleThrottled, core.HoleFreeze, core.HoleFullClock}
+	rows := parallelMap(len(modes), func(k int) []string {
+		mode := modes[k]
 		s := dumbbellScenario(16, 0)
-		ic := opts.watch("ablation-holemode_"+mode.String(), s.sched, s.net)
+		c := in.open("ablation-holemode_"+mode.String(), s.sched, s.net)
 		starts := workload.StaggeredStarts(16, 0, 5*time.Second)
 		flows := make([]*workload.Flow, 0, 16)
 		for i, slot := range s.slots {
@@ -201,60 +217,20 @@ func RunAblationHoleMode(d Durations, inv ...*InvariantOptions) *Table {
 				flows = append(flows, workload.NewFlow(f, workload.TCPSACK, workload.PRParams{}, starts[i]))
 			}
 		}
-		ic.flows(flows...)
+		c.measure(flows...)
 		for _, f := range flows {
 			f.MarkWindow(s.sched, d.Warm, d.Warm+d.Measure)
 		}
 		s.sched.RunUntil(d.Warm + d.Measure)
-		ic.finish()
-		bytes := make([]float64, len(flows))
-		for i, f := range flows {
-			bytes[i] = float64(f.WindowBytes())
-		}
-		norm := stats.Normalized(bytes)
-		meanPR, meanSACK := protocolMeans(flows, norm, workload.TCPPR, workload.TCPSACK)
-		t.AddRow(mode.String(), f3(meanPR), f3(meanSACK))
+		c.finish(metrics.Manifest{})
+		meanPR, meanSACK := protocolMeans(flows, normalizedWindows(flows), workload.TCPPR, workload.TCPSACK)
+		return []string{mode.String(), f3(meanPR), f3(meanSACK)}
+	})
+	return &Table{
+		Title:  "Ablation: TCP-PR hole policy (8 PR + 8 SACK flows, dumbbell)",
+		Header: []string{"policy", "mean_norm_TCP-PR", "mean_norm_TCP-SACK"},
+		Rows:   rows,
 	}
-	return t
-}
-
-// RunAblationSendCwnd contrasts halving from the cwnd recorded at send
-// time (the paper's choice, insensitive to detection delay) against
-// halving from the current cwnd.
-func RunAblationSendCwnd(d Durations, inv ...*InvariantOptions) AblationBurstResult {
-	opts := firstInv(inv)
-	run := func(name string, current bool) AblationBurstRow {
-		sched := sim.NewScheduler()
-		db := topo.NewDumbbell(sched, topo.DumbbellConfig{
-			Hosts: 1, BottleneckBW: topo.Mbps(8), Queue: 20,
-		})
-		ic := opts.watch("ablation-sendcwnd "+name, sched, db.Net)
-		f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-			routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
-		var s *core.Sender
-		f.Attach(func(env tcp.SenderEnv) tcp.Sender {
-			s = core.New(env, core.Config{HalveFromCurrentCwnd: current})
-			return s
-		})
-		f.Start(0)
-		ic.flow(f, workload.TCPPR)
-		var start, end int64
-		sched.At(d.Warm, func() { start = f.UniqueBytes() })
-		sched.At(d.Warm+d.Measure, func() { end = f.UniqueBytes() })
-		sched.RunUntil(d.Warm + d.Measure)
-		ic.finish()
-		return AblationBurstRow{
-			Name:       name,
-			Mbps:       stats.Mbps(stats.Throughput(end-start, d.Measure)),
-			Halvings:   s.Halvings,
-			BurstDrops: s.BurstDrops,
-			Extremes:   s.ExtremeEvents,
-		}
-	}
-	return AblationBurstResult{Rows: []AblationBurstRow{
-		run("cwnd at send time (paper)", false),
-		run("current cwnd", true),
-	}}
 }
 
 // Table renders a burst-ablation result.

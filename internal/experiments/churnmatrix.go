@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"tcppr/internal/faults"
+	"tcppr/internal/metrics"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
-	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
@@ -120,46 +120,24 @@ type ChurnMatrixResult struct {
 // the matrix, scenario-major in the configured order.
 func RunChurnMatrix(cfg ChurnMatrixConfig) (ChurnMatrixResult, error) {
 	cfg.fill()
-	res := ChurnMatrixResult{Config: cfg}
-	cell := 0
-	for _, name := range cfg.Scenarios {
-		sc, err := faults.HostScenarioByName(name)
-		if err != nil {
-			return res, err
-		}
-		for _, proto := range cfg.Protocols {
-			if !workload.Known(proto) {
-				return res, fmt.Errorf("churnmatrix: unknown protocol %q", proto)
-			}
-			cell++
-			res.Cells = append(res.Cells, runChurnCell(sc, proto, cfg, cell))
-		}
-	}
-	return res, nil
+	cells, err := runMatrix([]axis{
+		catalogAxis(cfg.Scenarios, faults.HostScenarioByName),
+		protocolAxis("churnmatrix", cfg.Protocols),
+	}, func(at []any, index int) ChurnMatrixCell {
+		return runChurnCell(at[0].(faults.HostScenario), at[1].(string), cfg, index)
+	})
+	return ChurnMatrixResult{Cells: cells, Config: cfg}, err
 }
 
 // runChurnCell runs one protocol's retrying workload under one host
 // scenario.
 func runChurnCell(sc faults.HostScenario, proto string, cfg ChurnMatrixConfig, cellIdx int) ChurnMatrixCell {
-	sched := sim.NewScheduler()
-	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	rev := db.Net.FindLink("R", "L")
-	peer := db.Dst(0)
-
-	name := fmt.Sprintf("churnmatrix_%s_%s", sc.Name, proto)
-	ob := cfg.Metrics.observe(name, sched)
-	ob.links(db.Bottleneck, rev)
-	ic := cfg.Invariants.watch(name, sched, db.Net)
-	ic.mirror(ob)
-	tc := cfg.Trace.trace(name, sched, db.Net)
-	tc.armChecker(ic)
-
+	c, db := instruments{cfg.Metrics, cfg.Invariants, cfg.Trace}.openDumbbell(
+		fmt.Sprintf("churnmatrix_%s_%s", sc.Name, proto))
+	sched, peer := c.sched, db.Dst(0)
 	tl := faults.NewTimeline()
-	if ob != nil {
-		tl.Instrument(ob.reg)
-		faults.InstrumentHostDrops(ob.reg, db.Net)
-	}
-	tc.armTimeline(tl)
+	c.timeline(tl)
+	faults.InstrumentHostDrops(c.reg, db.Net)
 	sc.Build(tl, peer, sim.Time(cfg.FaultAt))
 	tl.Install(sched)
 
@@ -175,8 +153,7 @@ func runChurnCell(sc faults.HostScenario, proto string, cfg ChurnMatrixConfig, c
 			Protocol:     proto,
 			Retry:        &retry,
 			OnFlow: func(f *tcp.Flow, protocol string) {
-				ic.flow(f, protocol)
-				tc.flow(f, protocol)
+				c.attach(f, protocol)
 				cell.Events = append(cell.Events,
 					fmt.Sprintf("%.6f\topen\tflow=%d", time.Duration(sched.Now()).Seconds(), f.ID))
 				lastUB := int64(0)
@@ -206,21 +183,14 @@ func runChurnCell(sc faults.HostScenario, proto string, cfg ChurnMatrixConfig, c
 	src.Start(0)
 
 	sched.RunUntil(sim.Time(cfg.Total))
-	ic.finish()
-	tc.finish(ob)
+	c.finish(metrics.Manifest{Experiment: "churnmatrix", Topology: "dumbbell", Variant: sc.Name + "/" + proto,
+		Seed: cfg.Seed, Params: map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()}, SimSeconds: cfg.Total.Seconds()})
 
 	cell.GoodputMbps = stats.Mbps(stats.Throughput(src.BytesDelivered, cfg.Total))
 	cell.Transfers = src.Transfers
 	cell.Retries = src.Retries
 	cell.GaveUp = src.GaveUp
 	cell.FaultEvents = len(tl.Applied())
-	if ob != nil {
-		for _, ev := range tl.Applied() {
-			ob.man.Faults = append(ob.man.Faults, ev.String())
-		}
-		ob.finish("churnmatrix", "dumbbell", sc.Name+"/"+proto, cfg.Seed,
-			map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()}, cfg.Total)
-	}
 	return cell
 }
 

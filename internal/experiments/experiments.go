@@ -7,11 +7,13 @@
 package experiments
 
 import (
+	"math/rand"
 	"time"
 
 	"tcppr/internal/netem"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
+	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
 	"tcppr/internal/topo"
 	"tcppr/internal/workload"
@@ -100,12 +102,12 @@ func parkingLotScenario(n int, startCross sim.Time) scenario {
 }
 
 // mixedRun attaches n flows alternating between two protocols (protoA on
-// even slots), runs warm+measure, and returns the per-flow measurement
-// window bytes in slot order. obs (nil when metrics are off) instruments
-// the flows and the scenario's bottleneck links before the clock starts;
-// ic (nil when invariant checking is off) attaches the conformance oracle
-// to every flow.
-func mixedRun(s scenario, protoA, protoB string, pr workload.PRParams, d Durations, obs *cellObserver, ic *invCell) []*workload.Flow {
+// even slots) to the cell, samples them and then the scenario's bottleneck
+// links, runs warm+measure, and returns the flows in slot order. Starts
+// are staggered; a non-nil jitter RNG offsets each by up to 500 ms, so
+// repeated runs of one configuration sample different phase alignments
+// (the paper repeats each Fig 3 point ten times).
+func mixedRun(c *cell, s scenario, protoA, protoB string, pr workload.PRParams, d Durations, jitter *rand.Rand) []*workload.Flow {
 	n := len(s.slots)
 	starts := workload.StaggeredStarts(n, 0, 5*time.Second)
 	flows := make([]*workload.Flow, 0, n)
@@ -114,18 +116,47 @@ func mixedRun(s scenario, protoA, protoB string, pr workload.PRParams, d Duratio
 		if i%2 == 1 {
 			proto = protoB
 		}
+		start := starts[i]
+		if jitter != nil {
+			start += time.Duration(jitter.Int63n(int64(500 * time.Millisecond)))
+		}
 		f := tcp.NewFlow(s.net, i+1, slot.src, slot.dst, slot.fwd, slot.rev)
-		flows = append(flows, workload.NewFlow(f, proto, pr, starts[i]))
+		flows = append(flows, workload.NewFlow(f, proto, pr, start))
 	}
-	obs.flows(flows...)
-	obs.links(s.bottlenecks...)
-	ic.flows(flows...)
-	ic.mirror(obs)
+	c.measure(flows...)
+	c.links(s.bottlenecks...)
 	for _, f := range flows {
 		f.MarkWindow(s.sched, d.Warm, d.Warm+d.Measure)
 	}
 	s.sched.RunUntil(d.Warm + d.Measure)
 	return flows
+}
+
+// normalizedWindows returns each flow's measurement-window bytes
+// normalized to the mean across flows, in flow order.
+func normalizedWindows(flows []*workload.Flow) []float64 {
+	bytes := make([]float64, len(flows))
+	for i, f := range flows {
+		bytes[i] = float64(f.WindowBytes())
+	}
+	return stats.Normalized(bytes)
+}
+
+// openDumbbell builds the one-host dumbbell every single-flow cell runs on
+// and opens its cell, sampling the bottleneck and its reverse link.
+func (in instruments) openDumbbell(name string) (*cell, *topo.Dumbbell) {
+	sched := sim.NewScheduler()
+	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
+	c := in.open(name, sched, db.Net)
+	c.links(db.Bottleneck, db.Net.FindLink("R", "L"))
+	return c, db
+}
+
+// singleFlow creates flow 1 between the dumbbell's first host pair on its
+// static paths.
+func singleFlow(db *topo.Dumbbell) *tcp.Flow {
+	return tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
+		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
 }
 
 // lossRate returns the aggregate drop fraction across the scenario's

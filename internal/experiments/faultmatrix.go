@@ -5,11 +5,10 @@ import (
 	"time"
 
 	"tcppr/internal/faults"
-	"tcppr/internal/routing"
+	"tcppr/internal/metrics"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
-	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
@@ -89,46 +88,25 @@ type FaultMatrixResult struct {
 // matrix. Rows come out scenario-major in the configured order.
 func RunFaultMatrix(cfg FaultMatrixConfig) (FaultMatrixResult, error) {
 	cfg.fill()
-	res := FaultMatrixResult{Config: cfg}
-	for _, name := range cfg.Scenarios {
-		sc, err := faults.ScenarioByName(name)
-		if err != nil {
-			return res, err
-		}
-		for _, proto := range cfg.Protocols {
-			if !workload.Known(proto) {
-				return res, fmt.Errorf("faultmatrix: unknown protocol %q", proto)
-			}
-			res.Cells = append(res.Cells, runFaultCell(sc, proto, cfg))
-		}
-	}
-	return res, nil
+	cells, err := runMatrix([]axis{
+		catalogAxis(cfg.Scenarios, faults.ScenarioByName),
+		protocolAxis("faultmatrix", cfg.Protocols),
+	}, func(at []any, _ int) FaultMatrixCell {
+		return runFaultCell(at[0].(faults.Scenario), at[1].(string), cfg)
+	})
+	return FaultMatrixResult{Cells: cells, Config: cfg}, err
 }
 
 // runFaultCell runs one protocol under one fault scenario.
 func runFaultCell(sc faults.Scenario, proto string, cfg FaultMatrixConfig) FaultMatrixCell {
-	sched := sim.NewScheduler()
-	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	rev := db.Net.FindLink("R", "L")
-
-	name := fmt.Sprintf("faultmatrix_%s_%s", sc.Name, proto)
-	ob := cfg.Metrics.observe(name, sched)
-	ob.links(db.Bottleneck, rev)
-	ic := cfg.Invariants.watch(name, sched, db.Net)
-	ic.mirror(ob)
-	tc := cfg.Trace.trace(name, sched, db.Net)
-	tc.armChecker(ic)
-
+	c, db := instruments{cfg.Metrics, cfg.Invariants, cfg.Trace}.openDumbbell(
+		fmt.Sprintf("faultmatrix_%s_%s", sc.Name, proto))
 	tl := faults.NewTimeline()
-	if ob != nil {
-		tl.Instrument(ob.reg)
-	}
-	tc.armTimeline(tl)
-	sc.Build(tl, db.Bottleneck, rev, sim.Time(cfg.FaultAt), cfg.Seed)
-	tl.Install(sched)
+	c.timeline(tl)
+	sc.Build(tl, db.Bottleneck, db.Net.FindLink("R", "L"), sim.Time(cfg.FaultAt), cfg.Seed)
+	tl.Install(c.sched)
 
-	f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
+	f := singleFlow(db)
 
 	// Recovery clock: snapshot delivered bytes when the disruption window
 	// closes, then stamp the first ACK that acknowledges anything beyond
@@ -138,25 +116,22 @@ func runFaultCell(sc faults.Scenario, proto string, cfg FaultMatrixConfig) Fault
 	disruptEnd := sim.Time(cfg.FaultAt) + sim.Time(sc.Disrupt)
 	recovery := time.Duration(-1)
 	var baseline int64
-	sched.At(disruptEnd, func() { baseline = f.UniqueBytes() })
+	c.sched.At(disruptEnd, func() { baseline = f.UniqueBytes() })
 	f.Hooks = tcp.FlowHooks{OnAckSent: func(_ tcp.Ack, now sim.Time) {
 		if recovery < 0 && now > disruptEnd && f.UniqueBytes() > baseline {
 			recovery = time.Duration(now - disruptEnd)
 		}
 	}}.Chain(f.Hooks)
 
-	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	ob.flows(wf)
-	ic.flows(wf)
-	tc.flows(wf)
-	sched.RunUntil(sim.Time(cfg.Total))
-	ic.finish()
-	tc.finish(ob)
+	c.measure(workload.NewFlow(f, proto, workload.PRParams{}, 0))
+	c.sched.RunUntil(sim.Time(cfg.Total))
+	c.finish(metrics.Manifest{Experiment: "faultmatrix", Topology: "dumbbell", Variant: sc.Name + "/" + proto,
+		Seed: cfg.Seed, Params: map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()}, SimSeconds: cfg.Total.Seconds()})
 
 	if sc.Disrupt == 0 {
 		recovery = 0 // nothing to recover from on the baseline row
 	}
-	cell := FaultMatrixCell{
+	return FaultMatrixCell{
 		Scenario:    sc.Name,
 		Protocol:    proto,
 		GoodputMbps: stats.Mbps(stats.Throughput(f.UniqueBytes(), cfg.Total)),
@@ -164,14 +139,6 @@ func runFaultCell(sc faults.Scenario, proto string, cfg FaultMatrixConfig) Fault
 		Recovery:    recovery,
 		FaultEvents: len(tl.Applied()),
 	}
-	if ob != nil {
-		for _, ev := range tl.Applied() {
-			ob.man.Faults = append(ob.man.Faults, ev.String())
-		}
-		ob.finish("faultmatrix", "dumbbell", sc.Name+"/"+proto, cfg.Seed,
-			map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()}, cfg.Total)
-	}
-	return cell
 }
 
 // Table renders the survival matrix in long format: one row per cell with

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"tcppr/internal/metrics"
 	"tcppr/internal/stats"
 	"tcppr/internal/workload"
 )
@@ -61,36 +62,31 @@ type Fig2Result struct {
 	Points []Fig2Point
 }
 
-// RunFig2 reproduces Figure 2 for one topology.
+// RunFig2 reproduces Figure 2 for one topology. The flow counts run in
+// parallel across the available CPUs.
 func RunFig2(cfg Fig2Config) Fig2Result {
 	cfg.fill()
-	res := Fig2Result{Config: cfg}
-	for _, n := range cfg.FlowCounts {
+	in := instruments{metrics: cfg.Metrics, inv: cfg.Invariants}
+	points := parallelMap(len(cfg.FlowCounts), func(i int) Fig2Point {
+		n := cfg.FlowCounts[i]
 		s := buildScenario(cfg.Topology, n)
-		name := fmt.Sprintf("fig2_%s_n%d", cfg.Topology, n)
-		obs := cfg.Metrics.observe(name, s.sched)
-		ic := cfg.Invariants.watch(name, s.sched, s.net)
-		flows := mixedRun(s, workload.TCPPR, workload.TCPSACK,
-			workload.PRParams{Alpha: cfg.Alpha, Beta: cfg.Beta}, cfg.Durations, obs, ic)
-		ic.finish()
-		obs.finish("fig2", cfg.Topology, "TCP-PR vs TCP-SACK", 0,
-			map[string]float64{"alpha": cfg.Alpha, "beta": cfg.Beta, "flows": float64(n)},
-			cfg.Durations.Warm+cfg.Durations.Measure)
-		bytes := make([]float64, len(flows))
-		for i, f := range flows {
-			bytes[i] = float64(f.WindowBytes())
-		}
-		norm := stats.Normalized(bytes)
+		c := in.open(fmt.Sprintf("fig2_%s_n%d", cfg.Topology, n), s.sched, s.net)
+		flows := mixedRun(c, s, workload.TCPPR, workload.TCPSACK,
+			workload.PRParams{Alpha: cfg.Alpha, Beta: cfg.Beta}, cfg.Durations, nil)
+		c.finish(metrics.Manifest{Experiment: "fig2", Topology: cfg.Topology, Variant: "TCP-PR vs TCP-SACK",
+			Params:     map[string]float64{"alpha": cfg.Alpha, "beta": cfg.Beta, "flows": float64(n)},
+			SimSeconds: (cfg.Durations.Warm + cfg.Durations.Measure).Seconds()})
+		norm := normalizedWindows(flows)
 		meanPR, meanSACK := protocolMeans(flows, norm, workload.TCPPR, workload.TCPSACK)
-		res.Points = append(res.Points, Fig2Point{
+		return Fig2Point{
 			Flows:          n,
 			PerFlow:        perProtocol(flows, norm),
 			MeanPR:         meanPR,
 			MeanSACK:       meanSACK,
 			BottleneckLoss: s.lossRate(),
-		})
-	}
-	return res
+		}
+	})
+	return Fig2Result{Config: cfg, Points: points}
 }
 
 func buildScenario(topology string, n int) scenario {
@@ -128,11 +124,8 @@ func (r Fig2Result) PerFlowTable() *Table {
 		Header: []string{"flows", "protocol", "normalized_throughput"},
 	}
 	for _, p := range r.Points {
-		for proto, values := range map[string][]float64{
-			workload.TCPPR:   p.PerFlow[workload.TCPPR],
-			workload.TCPSACK: p.PerFlow[workload.TCPSACK],
-		} {
-			for _, v := range values {
+		for _, proto := range []string{workload.TCPPR, workload.TCPSACK} {
+			for _, v := range p.PerFlow[proto] {
 				t.AddRow(fmt.Sprint(p.Flows), proto, f3(v))
 			}
 		}

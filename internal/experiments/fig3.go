@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
+	"tcppr/internal/metrics"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
-	"tcppr/internal/tcp"
 	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
@@ -84,27 +83,21 @@ func RunFig3(cfg Fig3Config) Fig3Result {
 			cells = append(cells, cell{bw, seed})
 		}
 	}
+	in := instruments{metrics: cfg.Metrics, inv: cfg.Invariants}
 	points := parallelMap(len(cells), func(i int) Fig3Point {
-		c := cells[i]
-		s := fig3Scenario(cfg.Topology, cfg.Flows, c.bw)
-		name := fmt.Sprintf("fig3_%s_bw%g_seed%d", cfg.Topology, c.bw, c.seed)
-		obs := cfg.Metrics.observe(name, s.sched)
-		ic := cfg.Invariants.watch(name, s.sched, s.net)
-		flows := mixedRunSeeded(s, workload.TCPPR, workload.TCPSACK,
-			workload.PRParams{}, cfg.Durations, int64(c.seed), obs, ic)
-		ic.finish()
-		defer obs.finish("fig3", cfg.Topology, "TCP-PR vs TCP-SACK", int64(c.seed),
-			map[string]float64{"bw_mbps": c.bw, "flows": float64(cfg.Flows)},
-			cfg.Durations.Warm+cfg.Durations.Measure)
-		bytes := make([]float64, len(flows))
-		for j, f := range flows {
-			bytes[j] = float64(f.WindowBytes())
-		}
-		norm := stats.Normalized(bytes)
-		by := perProtocol(flows, norm)
+		cl := cells[i]
+		s := fig3Scenario(cfg.Topology, cfg.Flows, cl.bw)
+		c := in.open(fmt.Sprintf("fig3_%s_bw%g_seed%d", cfg.Topology, cl.bw, cl.seed), s.sched, s.net)
+		flows := mixedRun(c, s, workload.TCPPR, workload.TCPSACK, workload.PRParams{}, cfg.Durations,
+			sim.NewRand(sim.SplitSeed(991, int64(cl.seed))))
+		c.finish(metrics.Manifest{Experiment: "fig3", Topology: cfg.Topology, Variant: "TCP-PR vs TCP-SACK",
+			Seed:       int64(cl.seed),
+			Params:     map[string]float64{"bw_mbps": cl.bw, "flows": float64(cfg.Flows)},
+			SimSeconds: (cfg.Durations.Warm + cfg.Durations.Measure).Seconds()})
+		by := perProtocol(flows, normalizedWindows(flows))
 		return Fig3Point{
-			BandwidthMbps: c.bw,
-			Seed:          c.seed,
+			BandwidthMbps: cl.bw,
+			Seed:          cl.seed,
 			LossRate:      s.lossRate(),
 			CoVPR:         stats.CoV(by[workload.TCPPR]),
 			CoVSACK:       stats.CoV(by[workload.TCPSACK]),
@@ -129,34 +122,6 @@ func fig3Scenario(topology string, n int, bwMbps float64) scenario {
 	default:
 		panic(fmt.Sprintf("experiments: unknown topology %q", topology))
 	}
-}
-
-// mixedRunSeeded is mixedRun with seed-dependent start-time jitter, so
-// repeated runs of the same configuration sample different phase
-// alignments (the paper repeats each Fig 3 point ten times).
-func mixedRunSeeded(s scenario, protoA, protoB string, pr workload.PRParams, d Durations, seed int64, obs *cellObserver, ic *invCell) []*workload.Flow {
-	n := len(s.slots)
-	base := workload.StaggeredStarts(n, 0, 5*time.Second)
-	rng := sim.NewRand(sim.SplitSeed(991, seed))
-	flows := make([]*workload.Flow, 0, n)
-	for i, slot := range s.slots {
-		proto := protoA
-		if i%2 == 1 {
-			proto = protoB
-		}
-		start := base[i] + time.Duration(rng.Int63n(int64(500*time.Millisecond)))
-		f := tcp.NewFlow(s.net, i+1, slot.src, slot.dst, slot.fwd, slot.rev)
-		flows = append(flows, workload.NewFlow(f, proto, pr, start))
-	}
-	obs.flows(flows...)
-	obs.links(s.bottlenecks...)
-	ic.flows(flows...)
-	ic.mirror(obs)
-	for _, f := range flows {
-		f.MarkWindow(s.sched, d.Warm, d.Warm+d.Measure)
-	}
-	s.sched.RunUntil(d.Warm + d.Measure)
-	return flows
 }
 
 // Table renders per-point rows plus per-bandwidth means.

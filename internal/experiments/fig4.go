@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"tcppr/internal/stats"
+	"tcppr/internal/metrics"
 	"tcppr/internal/workload"
 )
 
@@ -71,25 +71,18 @@ func RunFig4(cfg Fig4Config) Fig4Result {
 			cells = append(cells, cell{alpha, beta})
 		}
 	}
+	in := instruments{metrics: cfg.Metrics, inv: cfg.Invariants}
 	points := parallelMap(len(cells), func(i int) Fig4Point {
-		c := cells[i]
+		cl := cells[i]
 		s := buildScenario(cfg.Topology, cfg.Flows)
-		name := fmt.Sprintf("fig4_%s_a%g_b%g", cfg.Topology, c.alpha, c.beta)
-		obs := cfg.Metrics.observe(name, s.sched)
-		ic := cfg.Invariants.watch(name, s.sched, s.net)
-		flows := mixedRun(s, workload.TCPPR, workload.TCPSACK,
-			workload.PRParams{Alpha: c.alpha, Beta: c.beta}, cfg.Durations, obs, ic)
-		ic.finish()
-		defer obs.finish("fig4", cfg.Topology, "TCP-PR vs TCP-SACK", 0,
-			map[string]float64{"alpha": c.alpha, "beta": c.beta, "flows": float64(cfg.Flows)},
-			cfg.Durations.Warm+cfg.Durations.Measure)
-		bytes := make([]float64, len(flows))
-		for j, f := range flows {
-			bytes[j] = float64(f.WindowBytes())
-		}
-		norm := stats.Normalized(bytes)
-		meanPR, meanSACK := protocolMeans(flows, norm, workload.TCPPR, workload.TCPSACK)
-		return Fig4Point{Alpha: c.alpha, Beta: c.beta, MeanSACK: meanSACK, MeanPR: meanPR}
+		c := in.open(fmt.Sprintf("fig4_%s_a%g_b%g", cfg.Topology, cl.alpha, cl.beta), s.sched, s.net)
+		flows := mixedRun(c, s, workload.TCPPR, workload.TCPSACK,
+			workload.PRParams{Alpha: cl.alpha, Beta: cl.beta}, cfg.Durations, nil)
+		c.finish(metrics.Manifest{Experiment: "fig4", Topology: cfg.Topology, Variant: "TCP-PR vs TCP-SACK",
+			Params:     map[string]float64{"alpha": cl.alpha, "beta": cl.beta, "flows": float64(cfg.Flows)},
+			SimSeconds: (cfg.Durations.Warm + cfg.Durations.Measure).Seconds()})
+		meanPR, meanSACK := protocolMeans(flows, normalizedWindows(flows), workload.TCPPR, workload.TCPSACK)
+		return Fig4Point{Alpha: cl.alpha, Beta: cl.beta, MeanSACK: meanSACK, MeanPR: meanPR}
 	})
 	return Fig4Result{Config: cfg, Points: points}
 }

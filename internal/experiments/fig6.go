@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"tcppr/internal/metrics"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
@@ -111,13 +112,10 @@ func runFig6Cell(cfg Fig6Config, proto string, eps float64, delay time.Duration)
 	rev := routing.NewEpsilon(m.RevPaths, eps, sim.NewRand(sim.SplitSeed(cfg.Seed, 2)))
 	f := tcp.NewFlow(m.Net, 1, m.Src, m.Dst, fwd, rev)
 	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	name := fmt.Sprintf("fig6_%s_eps%g_d%dms", proto, eps, delay.Milliseconds())
-	obs := cfg.Metrics.observe(name, sched)
-	obs.flows(wf)
-	obs.links(m.Net.Links()...)
-	ic := cfg.Invariants.watch(name, sched, m.Net)
-	ic.flows(wf)
-	ic.mirror(obs)
+	c := instruments{metrics: cfg.Metrics, inv: cfg.Invariants}.open(
+		fmt.Sprintf("fig6_%s_eps%g_d%dms", proto, eps, delay.Milliseconds()), sched, m.Net)
+	c.measure(wf)
+	c.links(m.Net.Links()...)
 	// Convergence to steady state through congestion avoidance scales
 	// with the bandwidth-delay product, so the warm-up scales with the
 	// link delay (60 ms links need ~6x the 10 ms warm-up).
@@ -127,10 +125,9 @@ func runFig6Cell(cfg Fig6Config, proto string, eps float64, delay time.Duration)
 	}
 	wf.MarkWindow(sched, warm, warm+cfg.Durations.Measure)
 	sched.RunUntil(warm + cfg.Durations.Measure)
-	ic.finish()
-	obs.finish("fig6", "multipath", proto, cfg.Seed,
-		map[string]float64{"eps": eps, "delay_ms": float64(delay.Milliseconds()), "paths": float64(cfg.Paths)},
-		warm+cfg.Durations.Measure)
+	c.finish(metrics.Manifest{Experiment: "fig6", Topology: "multipath", Variant: proto, Seed: cfg.Seed,
+		Params:     map[string]float64{"eps": eps, "delay_ms": float64(delay.Milliseconds()), "paths": float64(cfg.Paths)},
+		SimSeconds: (warm + cfg.Durations.Measure).Seconds()})
 	return stats.Mbps(stats.Throughput(wf.WindowBytes(), cfg.Durations.Measure))
 }
 

@@ -6,10 +6,6 @@ import (
 	"sync"
 
 	"tcppr/internal/invariant"
-	"tcppr/internal/netem"
-	"tcppr/internal/sim"
-	"tcppr/internal/tcp"
-	"tcppr/internal/workload"
 )
 
 // InvariantOptions attaches the internal/invariant conformance oracle to
@@ -17,9 +13,7 @@ import (
 // Checker (cells run on the parallel worker pool, but each cell's
 // simulation is single-threaded); violations are folded into this shared,
 // mutex-guarded summary as cells complete. A nil *InvariantOptions
-// disables checking everywhere — every method is a no-op on nil, so call
-// sites need no invariant-enabled branch (the same pattern as
-// MetricsOptions / cellObserver).
+// disables checking everywhere; the query methods are nil-safe.
 type InvariantOptions struct {
 	mu    sync.Mutex
 	cells int
@@ -95,76 +89,6 @@ func (o *InvariantOptions) Err() error {
 		}
 	}
 	return fmt.Errorf("%s", sb.String())
-}
-
-// watch opens one cell's checking scope: a Checker bound to the cell's
-// scheduler with the network attached (which also arms the event/packet
-// pool ownership checks). Nil receiver → nil cell, and every invCell
-// method is a no-op on nil.
-func (o *InvariantOptions) watch(cell string, sched *sim.Scheduler, net *netem.Network) *invCell {
-	if o == nil {
-		return nil
-	}
-	c := invariant.New(sched)
-	c.AttachNetwork(net)
-	return &invCell{opts: o, name: cell, c: c}
-}
-
-// invCell checks one simulation cell.
-type invCell struct {
-	opts *InvariantOptions
-	name string
-	c    *invariant.Checker
-}
-
-// flow attaches the conformance rules for one flow. Call after the sender
-// is attached (workload.NewFlow or Flow.Attach) and before the clock runs.
-func (ic *invCell) flow(f *tcp.Flow, protocol string) {
-	if ic == nil {
-		return
-	}
-	ic.c.AttachFlow(f, protocol)
-}
-
-// flows attaches every measurement flow using its workload label.
-func (ic *invCell) flows(fs ...*workload.Flow) {
-	if ic == nil {
-		return
-	}
-	for _, f := range fs {
-		ic.c.AttachFlow(f.Flow, f.Protocol)
-	}
-}
-
-// checker exposes the cell's underlying Checker so other per-cell scopes
-// (the flight recorder in tracing.go) can chain onto its violation hook.
-// Nil-safe: a nil cell has no checker.
-func (ic *invCell) checker() *invariant.Checker {
-	if ic == nil {
-		return nil
-	}
-	return ic.c
-}
-
-// mirror routes the cell's violation counters into the cell observer's
-// metrics registry (invariant.violations*), so manifests record them.
-func (ic *invCell) mirror(obs *cellObserver) {
-	if ic == nil || obs == nil {
-		return
-	}
-	ic.c.SetMetrics(obs.reg)
-}
-
-// finish runs the end-of-run rules and folds the cell's outcome into the
-// shared summary.
-func (ic *invCell) finish() {
-	if ic == nil {
-		return
-	}
-	ic.c.Finish()
-	ic.opts.record(CellViolations{
-		Cell: ic.name, Total: ic.c.Total(), Violations: ic.c.Violations(),
-	})
 }
 
 // record folds one finished cell into the summary; cells complete on

@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"tcppr/internal/metrics"
-	"tcppr/internal/netem"
-	"tcppr/internal/sim"
-	"tcppr/internal/workload"
 )
 
 // MetricsOptions enables the observability subsystem for an experiment
@@ -64,120 +59,4 @@ func (o *MetricsOptions) WriteAggregate(experiment string) error {
 	m.FillRates()
 	m.AddSnapshot(snap)
 	return m.WriteFile(filepath.Join(o.Dir, m.Name+".json"))
-}
-
-// observe opens one cell's observation scope: a fresh (unsynchronized)
-// registry plus a sampler started at virtual time zero on the cell's own
-// scheduler. A nil receiver returns a nil observer, and every observer
-// method is a no-op on nil, so call sites need no metrics-enabled branch.
-func (o *MetricsOptions) observe(name string, sched *sim.Scheduler) *cellObserver {
-	if o == nil {
-		return nil
-	}
-	o.init()
-	ob := &cellObserver{
-		opts:  o,
-		sched: sched,
-		start: time.Now(),
-		reg:   metrics.New(),
-		samp:  metrics.NewSampler(sched, o.Interval, o.SeriesCap),
-	}
-	ob.man.Name = metrics.SanitizeName(name)
-	ob.samp.Start(0)
-	return ob
-}
-
-// cellObserver instruments one simulation cell and writes its artifacts.
-type cellObserver struct {
-	opts  *MetricsOptions
-	sched *sim.Scheduler
-	start time.Time
-	reg   *metrics.Registry
-	samp  *metrics.Sampler
-	man   metrics.Manifest
-}
-
-// links instruments network links (typically the bottlenecks).
-func (o *cellObserver) links(ls ...*netem.Link) {
-	if o == nil {
-		return
-	}
-	for _, l := range ls {
-		metrics.InstrumentLink(o.samp, o.reg, l, metrics.LinkPrefix(l))
-	}
-}
-
-// flows instruments measurement flows (sender gauges + arrival counters).
-func (o *cellObserver) flows(fs ...*workload.Flow) {
-	if o == nil {
-		return
-	}
-	for _, f := range fs {
-		metrics.InstrumentFlow(o.samp, o.reg, f.Flow, metrics.FlowPrefix(f.ID, f.Protocol))
-	}
-}
-
-// artifacts records companion files (trace exports, flight dumps) in the
-// cell manifest. Call before finish.
-func (o *cellObserver) artifacts(names ...string) {
-	if o == nil {
-		return
-	}
-	o.man.Artifacts = append(o.man.Artifacts, names...)
-}
-
-// finish stops sampling, fills the manifest, writes the cell's series
-// dump and manifest into Dir, and folds the cell into the run aggregate.
-// Export failures are reported on stderr rather than aborting a
-// simulation that already ran to completion.
-func (o *cellObserver) finish(experiment, topology, variant string, seed int64, params map[string]float64, simDur time.Duration) {
-	if o == nil {
-		return
-	}
-	o.samp.Stop()
-	m := &o.man
-	m.Experiment = experiment
-	m.Topology = topology
-	m.Variant = variant
-	m.Seed = seed
-	m.Params = params
-	m.SimSeconds = simDur.Seconds()
-	m.WallSeconds = metrics.Wall(o.start)
-	m.EventsProcessed = o.sched.Processed()
-	m.FillRates()
-	m.AddSnapshot(o.reg.Snapshot())
-
-	seriesFile := m.Name + ".series.tsv"
-	m.AddSampler(o.samp, seriesFile)
-
-	if err := o.writeSeries(filepath.Join(o.opts.Dir, seriesFile)); err != nil {
-		fmt.Fprintf(os.Stderr, "metrics: cell %s: %v\n", m.Name, err)
-	}
-	if err := m.WriteFile(filepath.Join(o.opts.Dir, m.Name+".manifest.json")); err != nil {
-		fmt.Fprintf(os.Stderr, "metrics: cell %s: %v\n", m.Name, err)
-	}
-
-	agg := o.opts.Aggregate()
-	agg.Counter("cells_completed").Inc()
-	agg.Counter("events_processed").Add(o.sched.Processed())
-	var pts uint64
-	for _, s := range o.samp.Series() {
-		pts += uint64(s.Len())
-	}
-	agg.Counter("series_points").Add(pts)
-}
-
-func (o *cellObserver) writeSeries(path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := o.samp.WriteTSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tcppr/internal/workload"
 )
 
 // maxWorkers caps the parallelMap worker pool; 0 means "use GOMAXPROCS".
@@ -110,4 +113,55 @@ func parallelMap[T any](n int, fn func(i int) T) []T {
 		panic(r)
 	}
 	return out
+}
+
+// axis is one dimension of a matrix experiment: the configured names, in
+// display order, and the lookup that resolves (and so validates) each.
+type axis struct {
+	names  []string
+	lookup func(string) (any, error)
+}
+
+// catalogAxis adapts a typed catalog lookup to an axis.
+func catalogAxis[T any](names []string, lookup func(string) (T, error)) axis {
+	return axis{names, func(n string) (any, error) { return lookup(n) }}
+}
+
+// protocolAxis is the protocol dimension; matrix prefixes the
+// unknown-protocol error.
+func protocolAxis(matrix string, names []string) axis {
+	return axis{names, func(n string) (any, error) {
+		if !workload.Known(n) {
+			return nil, fmt.Errorf("%s: unknown protocol %q", matrix, n)
+		}
+		return n, nil
+	}}
+}
+
+// runMatrix is the one runner behind every matrix experiment. It resolves
+// every name on every axis before the first cell runs, so a bad name fails
+// fast, then runs the cross product through parallelMap, axis-major (the
+// first axis varies slowest). run gets the cell's resolved coordinates, one
+// per axis, and its 1-based index, from which the matrices derive per-cell
+// random streams as sim.SplitSeed(seed, index).
+func runMatrix[R any](axes []axis, run func(at []any, index int) R) ([]R, error) {
+	cells := [][]any{nil}
+	for _, a := range axes {
+		vals := make([]any, len(a.names))
+		for i, n := range a.names {
+			v, err := a.lookup(n)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = v
+		}
+		next := make([][]any, 0, len(cells)*len(vals))
+		for _, prefix := range cells {
+			for _, v := range vals {
+				next = append(next, append(prefix[:len(prefix):len(prefix)], v))
+			}
+		}
+		cells = next
+	}
+	return parallelMap(len(cells), func(i int) R { return run(cells[i], i+1) }), nil
 }

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"tcppr/internal/workload"
 )
 
 func TestParallelMapOrderAndCompleteness(t *testing.T) {
@@ -44,23 +48,73 @@ func TestParallelMapPanicsPropagate(t *testing.T) {
 	})
 }
 
+// TestParallelResultsMatchSequential runs small configurations of the
+// parallel figure and matrix runners once on a single worker and once at
+// the default parallelism: every cell owns its scheduler and random
+// streams, so the rendered tables must match byte for byte.
 func TestParallelResultsMatchSequential(t *testing.T) {
-	// The same Fig 6 configuration must yield identical results whether
-	// cells run in parallel or not (each cell owns its scheduler + RNGs).
-	cfg := Fig6Config{
-		Protocols: []string{"TCP-PR"},
-		Epsilons:  []float64{0, 500},
-		Durations: Durations{Warm: 5e9, Measure: 5e9},
-	}
-	a := RunFig6(cfg)
-	b := RunFig6(cfg)
-	if len(a.Points) != len(b.Points) {
-		t.Fatal("point counts differ")
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Errorf("run-to-run mismatch at %d: %+v vs %+v", i, a.Points[i], b.Points[i])
-		}
+	const total = 4 * time.Second
+	short := Durations{Warm: 2 * time.Second, Measure: 2 * time.Second}
+	protos := []string{workload.TCPPR, workload.NewReno}
+	inv := func() *InvariantOptions { return &InvariantOptions{} }
+	for _, tc := range []struct {
+		name string
+		run  func() ([]*Table, error)
+	}{
+		{"fig6", func() ([]*Table, error) {
+			return RunFig6(Fig6Config{
+				Protocols: []string{workload.TCPPR},
+				Epsilons:  []float64{0, 500},
+				Durations: Durations{Warm: 5 * time.Second, Measure: 5 * time.Second},
+			}).Table(), nil
+		}},
+		{"faultmatrix", func() ([]*Table, error) {
+			res, err := RunFaultMatrix(FaultMatrixConfig{Protocols: protos, Total: total,
+				FaultAt: time.Second, Invariants: inv()})
+			return []*Table{res.Table()}, err
+		}},
+		{"churnmatrix", func() ([]*Table, error) {
+			res, err := RunChurnMatrix(ChurnMatrixConfig{Protocols: protos, Total: 2 * total,
+				FaultAt: time.Second, Invariants: inv()})
+			return []*Table{res.Table(), res.EventsTable()}, err
+		}},
+		{"reordermatrix", func() ([]*Table, error) {
+			res, err := RunReorderMatrix(ReorderMatrixConfig{Protocols: protos, Total: total, Invariants: inv()})
+			return []*Table{res.Table(), res.DisplacementTable()}, err
+		}},
+		{"repairmatrix", func() ([]*Table, error) {
+			res, err := RunRepairMatrix(RepairMatrixConfig{Protocols: protos, Models: []string{"swap-high"},
+				Total: total, Invariants: inv()})
+			return []*Table{res.Table(), res.DetailTable()}, err
+		}},
+		{"robustness", func() ([]*Table, error) {
+			return []*Table{RunRobustness(short, inv()).Table()}, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			render := func(workers int) string {
+				SetParallelism(workers)
+				defer SetParallelism(0)
+				tables, err := tc.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				for _, tb := range tables {
+					if err := tb.WriteCSV(&buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return buf.String()
+			}
+			seq, par := render(1), render(0)
+			if seq == "" {
+				t.Fatal("empty tables")
+			}
+			if seq != par {
+				t.Errorf("parallel tables differ from sequential:\n--- sequential\n%s\n--- parallel\n%s", seq, par)
+			}
+		})
 	}
 }
 

@@ -21,7 +21,8 @@ type RunConfig struct {
 	// Metrics, when non-nil, writes per-cell time series and manifests
 	// (plus a run aggregate for the figure-grade experiments). Only the
 	// experiments that plumb observers honor it: fig2, fig3, fig4, fig6,
-	// and faultmatrix.
+	// and the four matrices (faultmatrix, churnmatrix, reordermatrix,
+	// repairmatrix).
 	Metrics *MetricsOptions
 	// CSVDir, when non-empty, is the directory the experiment's raw
 	// per-point CSV files are written into, under the same file names the
@@ -57,11 +58,11 @@ type RunConfig struct {
 	// currently the city scaling sweep; others ignore it.
 	Engine *EngineOptions
 	// Trace, when non-nil, attaches the internal/span causal tracer to
-	// every simulation cell that plumbs it (currently faultmatrix),
-	// exporting per-cell Perfetto traces and span TSVs — plus flight dumps
-	// when combined with CheckInvariants and Trace.FlightRecorder. The
-	// artifact names are recorded in the cell manifests when Metrics is
-	// also set.
+	// every simulation cell that plumbs it (the four matrices:
+	// faultmatrix, churnmatrix, reordermatrix, repairmatrix), exporting
+	// per-cell Perfetto traces and span TSVs — plus flight dumps when
+	// combined with CheckInvariants and Trace.FlightRecorder. The artifact
+	// names are recorded in the cell manifests when Metrics is also set.
 	Trace *TraceOptions
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"tcppr/internal/metrics"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
@@ -30,7 +31,7 @@ type ReorderPoint struct {
 // family on the Fig 5 topology — the supplementary "how much reordering
 // is ε=k, actually?" table the paper's reader inevitably wants.
 func RunReorderProfile(d Durations, linkDelay time.Duration, inv ...*InvariantOptions) []ReorderPoint {
-	opts := firstInv(inv)
+	in := instruments{inv: firstInv(inv)}
 	if linkDelay == 0 {
 		linkDelay = 10 * time.Millisecond
 	}
@@ -39,17 +40,17 @@ func RunReorderProfile(d Durations, linkDelay time.Duration, inv ...*InvariantOp
 		e := eps[i]
 		sched := sim.NewScheduler()
 		m := topo.NewMultipath(sched, 3, linkDelay)
-		ic := opts.watch(fmt.Sprintf("ext-reorder_eps%g", e), sched, m.Net)
+		c := in.open(fmt.Sprintf("ext-reorder_eps%g", e), sched, m.Net)
 		fwd := routing.NewEpsilon(m.FwdPaths, e, sim.NewRand(sim.SplitSeed(71, int64(i))))
 		rev := routing.NewEpsilon(m.RevPaths, e, sim.NewRand(sim.SplitSeed(72, int64(i))))
 		f := tcp.NewFlow(m.Net, 1, m.Src, m.Dst, fwd, rev)
 		rec := trace.NewRecorder()
 		rec.Attach(f)
 		wf := workload.NewFlow(f, workload.TCPPR, workload.PRParams{}, 0)
-		ic.flows(wf)
+		c.measure(wf)
 		wf.MarkWindow(sched, d.Warm, d.Warm+d.Measure)
 		sched.RunUntil(d.Warm + d.Measure)
-		ic.finish()
+		c.finish(metrics.Manifest{})
 		_, med, max := rec.ReorderExtents()
 		return ReorderPoint{
 			Epsilon:     e,

@@ -6,7 +6,6 @@ import (
 
 	"tcppr/internal/metrics"
 	"tcppr/internal/netem"
-	"tcppr/internal/routing"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
@@ -109,72 +108,26 @@ type ReorderMatrixResult struct {
 // matrix, model-major in the configured order.
 func RunReorderMatrix(cfg ReorderMatrixConfig) (ReorderMatrixResult, error) {
 	cfg.fill()
-	res := ReorderMatrixResult{Config: cfg}
-	cell := 0
-	for _, name := range cfg.Models {
-		sc, err := netem.ReorderScenarioByName(name)
-		if err != nil {
-			return res, err
-		}
-		for _, proto := range cfg.Protocols {
-			if !workload.Known(proto) {
-				return res, fmt.Errorf("reordermatrix: unknown protocol %q", proto)
-			}
-			cell++
-			res.Cells = append(res.Cells, runReorderCell(sc, proto, cfg, cell))
-		}
-	}
-	return res, nil
+	cells, err := runMatrix([]axis{
+		catalogAxis(cfg.Models, netem.ReorderScenarioByName),
+		protocolAxis("reordermatrix", cfg.Protocols),
+	}, func(at []any, index int) ReorderMatrixCell {
+		return runReorderCell(at[0].(netem.ReorderScenario), at[1].(string), cfg, index)
+	})
+	return ReorderMatrixResult{Cells: cells, Config: cfg}, err
 }
 
 // runReorderCell runs one protocol's long-lived flow against one reorder
 // model on the bottleneck's data direction.
 func runReorderCell(sc netem.ReorderScenario, proto string, cfg ReorderMatrixConfig, cellIdx int) ReorderMatrixCell {
-	sched := sim.NewScheduler()
-	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	rev := db.Net.FindLink("R", "L")
-
-	name := fmt.Sprintf("reordermatrix_%s_%s", sc.Name, proto)
-	ob := cfg.Metrics.observe(name, sched)
-	ob.links(db.Bottleneck, rev)
-	ic := cfg.Invariants.watch(name, sched, db.Net)
-	ic.mirror(ob)
-	tc := cfg.Trace.trace(name, sched, db.Net)
-	tc.armChecker(ic)
-
-	// Each cell's model draws from its own split seed stream, so adding
-	// or reordering cells never perturbs another cell's permutation.
-	model := sc.New(sim.NewRand(sim.SplitSeed(cfg.Seed, int64(cellIdx))))
-	if model != nil {
-		db.Bottleneck.SetReorderModel(model)
-	}
-
-	f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
-
-	// The reorder meter rides the receiver's data-arrival hook: Seq is
-	// the send index (packets, ns-2 style) and retransmissions are
-	// excluded, matching the RFC 4737 convention trace.Recorder uses.
-	meter := stats.NewReorderMeter(cfg.MeterCap)
-	f.Hooks = tcp.FlowHooks{OnDataRecv: func(seg tcp.Seg, _ sim.Time) {
-		if !seg.Retx {
-			meter.Observe(seg.Seq)
-		}
-	}}.Chain(f.Hooks)
-	if ob != nil {
-		metrics.InstrumentReorder(ob.samp, ob.reg, meter, "reorder")
-	}
-
-	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	ob.flows(wf)
-	ic.flows(wf)
-	tc.flows(wf)
-	sched.RunUntil(sim.Time(cfg.Total))
-	ic.finish()
-	tc.finish(ob)
+	c, db := instruments{cfg.Metrics, cfg.Invariants, cfg.Trace}.openDumbbell(
+		fmt.Sprintf("reordermatrix_%s_%s", sc.Name, proto))
+	f, meter := runReorderedFlow(c, db, sc, nil, proto, cfg.Seed, cellIdx, cfg.MeterCap, cfg.Total)
+	c.finish(metrics.Manifest{Experiment: "reordermatrix", Topology: "dumbbell", Variant: sc.Name + "/" + proto,
+		Seed: cfg.Seed, Params: map[string]float64{"meter_cap": float64(cfg.MeterCap)}, SimSeconds: cfg.Total.Seconds()})
 
 	st := db.Bottleneck.Stats()
-	cell := ReorderMatrixCell{
+	return ReorderMatrixCell{
 		Model:        sc.Name,
 		Protocol:     proto,
 		GoodputMbps:  stats.Mbps(stats.Throughput(f.UniqueBytes(), cfg.Total)),
@@ -188,11 +141,42 @@ func runReorderCell(sc netem.ReorderScenario, proto string, cfg ReorderMatrixCon
 		Hist:         meter.Histogram(),
 		Overflow:     meter.Overflow(),
 	}
-	if ob != nil {
-		ob.finish("reordermatrix", "dumbbell", sc.Name+"/"+proto, cfg.Seed,
-			map[string]float64{"meter_cap": float64(cfg.MeterCap)}, cfg.Total)
+}
+
+// runReorderedFlow runs one protocol's long-lived flow over the cell's
+// dumbbell with the reorder model on the bottleneck's data direction and,
+// when box is non-nil, that repair middlebox resequencing deliveries off
+// the same link; the box is flushed at the horizon, as a teardown would,
+// so its custody closes before the checker's end-of-run rules. The model
+// draws from its own split seed stream sim.SplitSeed(seed, cellIdx), so
+// adding or reordering cells never perturbs another cell's permutation.
+// The returned meter measures what the receiver still sees: late
+// arrivals (RFC 4737, retransmissions excluded) with meterCap exact
+// displacement buckets.
+func runReorderedFlow(c *cell, db *topo.Dumbbell, sc netem.ReorderScenario, box *netem.RepairBox,
+	proto string, seed int64, cellIdx, meterCap int, total time.Duration) (*tcp.Flow, *stats.ReorderMeter) {
+	if model := sc.New(sim.NewRand(sim.SplitSeed(seed, int64(cellIdx)))); model != nil {
+		db.Bottleneck.SetReorderModel(model)
 	}
-	return cell
+	if box != nil {
+		db.Bottleneck.SetRepair(box)
+	}
+	f := singleFlow(db)
+	// The meter rides the receiver's data-arrival hook: Seq is the send
+	// index (packets, ns-2 style).
+	meter := stats.NewReorderMeter(meterCap)
+	f.Hooks = tcp.FlowHooks{OnDataRecv: func(seg tcp.Seg, _ sim.Time) {
+		if !seg.Retx {
+			meter.Observe(seg.Seq)
+		}
+	}}.Chain(f.Hooks)
+	c.meter(meter)
+	c.measure(workload.NewFlow(f, proto, workload.PRParams{}, 0))
+	c.sched.RunUntil(sim.Time(total))
+	if box != nil {
+		box.Flush()
+	}
+	return f, meter
 }
 
 // Table renders the reorder matrix in long format: one row per cell with

@@ -6,11 +6,7 @@ import (
 
 	"tcppr/internal/metrics"
 	"tcppr/internal/netem"
-	"tcppr/internal/routing"
-	"tcppr/internal/sim"
 	"tcppr/internal/stats"
-	"tcppr/internal/tcp"
-	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
@@ -112,86 +108,29 @@ type RepairMatrixResult struct {
 // matrix, box-major then model-major in the configured order.
 func RunRepairMatrix(cfg RepairMatrixConfig) (RepairMatrixResult, error) {
 	cfg.fill()
-	res := RepairMatrixResult{Config: cfg}
-	cell := 0
-	for _, boxName := range cfg.Boxes {
-		rsc, err := netem.RepairScenarioByName(boxName)
-		if err != nil {
-			return res, err
-		}
-		for _, name := range cfg.Models {
-			sc, err := netem.ReorderScenarioByName(name)
-			if err != nil {
-				return res, err
-			}
-			for _, proto := range cfg.Protocols {
-				if !workload.Known(proto) {
-					return res, fmt.Errorf("repairmatrix: unknown protocol %q", proto)
-				}
-				cell++
-				res.Cells = append(res.Cells, runRepairCell(rsc, sc, proto, cfg, cell))
-			}
-		}
-	}
-	return res, nil
+	cells, err := runMatrix([]axis{
+		catalogAxis(cfg.Boxes, netem.RepairScenarioByName),
+		catalogAxis(cfg.Models, netem.ReorderScenarioByName),
+		protocolAxis("repairmatrix", cfg.Protocols),
+	}, func(at []any, index int) RepairMatrixCell {
+		return runRepairCell(at[0].(netem.RepairScenario), at[1].(netem.ReorderScenario), at[2].(string), cfg, index)
+	})
+	return RepairMatrixResult{Cells: cells, Config: cfg}, err
 }
 
 // runRepairCell runs one protocol's long-lived flow against one reorder
 // model on the bottleneck's data direction, with one repair scenario's
-// middlebox (or none) resequencing deliveries off the same link.
+// middlebox (or none) resequencing deliveries off the same link. The box
+// itself is deterministic, so the cell's artifacts are a pure function of
+// (Seed, cell).
 func runRepairCell(rsc netem.RepairScenario, sc netem.ReorderScenario, proto string,
 	cfg RepairMatrixConfig, cellIdx int) RepairMatrixCell {
-	sched := sim.NewScheduler()
-	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	rev := db.Net.FindLink("R", "L")
-
-	name := fmt.Sprintf("repairmatrix_%s_%s_%s", rsc.Name, sc.Name, proto)
-	ob := cfg.Metrics.observe(name, sched)
-	ob.links(db.Bottleneck, rev)
-	ic := cfg.Invariants.watch(name, sched, db.Net)
-	ic.mirror(ob)
-	tc := cfg.Trace.trace(name, sched, db.Net)
-	tc.armChecker(ic)
-
-	// Each cell's reorder model draws from its own split seed stream; the
-	// repair box is deterministic, so the cell's artifacts are a pure
-	// function of (Seed, cell).
-	model := sc.New(sim.NewRand(sim.SplitSeed(cfg.Seed, int64(cellIdx))))
-	if model != nil {
-		db.Bottleneck.SetReorderModel(model)
-	}
+	c, db := instruments{cfg.Metrics, cfg.Invariants, cfg.Trace}.openDumbbell(
+		fmt.Sprintf("repairmatrix_%s_%s_%s", rsc.Name, sc.Name, proto))
 	box := rsc.New()
-	if box != nil {
-		db.Bottleneck.SetRepair(box)
-	}
-
-	f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
-
-	// The meter measures what the receiver still sees *after* the box —
-	// the residual reordering — with retransmissions excluded (RFC 4737).
-	meter := stats.NewReorderMeter(16)
-	f.Hooks = tcp.FlowHooks{OnDataRecv: func(seg tcp.Seg, _ sim.Time) {
-		if !seg.Retx {
-			meter.Observe(seg.Seq)
-		}
-	}}.Chain(f.Hooks)
-	if ob != nil {
-		metrics.InstrumentReorder(ob.samp, ob.reg, meter, "reorder")
-	}
-
-	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	ob.flows(wf)
-	ic.flows(wf)
-	tc.flows(wf)
-	sched.RunUntil(sim.Time(cfg.Total))
-	// The repair-ledger invariant requires custody to close at the
-	// horizon: flush the box before Finish, exactly as a teardown would.
-	if box != nil {
-		box.Flush()
-	}
-	ic.finish()
-	tc.finish(ob)
+	f, meter := runReorderedFlow(c, db, sc, box, proto, cfg.Seed, cellIdx, 16, cfg.Total)
+	c.finish(metrics.Manifest{Experiment: "repairmatrix", Topology: "dumbbell",
+		Variant: rsc.Name + "/" + sc.Name + "/" + proto, Seed: cfg.Seed, SimSeconds: cfg.Total.Seconds()})
 
 	st := db.Bottleneck.Stats()
 	cell := RepairMatrixCell{
@@ -214,10 +153,6 @@ func runRepairCell(rsc netem.RepairScenario, sc netem.ReorderScenario, proto str
 		if bs.Released > 0 {
 			cell.MeanHoldMs = float64(bs.HoldTime.Milliseconds()) / float64(bs.Released)
 		}
-	}
-	if ob != nil {
-		ob.finish("repairmatrix", "dumbbell", rsc.Name+"/"+sc.Name+"/"+proto, cfg.Seed,
-			nil, cfg.Total)
 	}
 	return cell
 }

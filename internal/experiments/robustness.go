@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"tcppr/internal/metrics"
 	"tcppr/internal/netem"
-	"tcppr/internal/routing"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
-	"tcppr/internal/tcp"
-	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
@@ -56,28 +54,36 @@ type RobustnessResult struct {
 // RunRobustness measures each protocol's single-flow goodput on a 15 Mbps
 // dumbbell under each impairment.
 func RunRobustness(d Durations, inv ...*InvariantOptions) RobustnessResult {
-	opts := firstInv(inv)
+	in := instruments{inv: firstInv(inv)}
 	protos := []string{workload.TCPPR, workload.TCPSACK, workload.NewReno, workload.TDFR}
+	var scenarios []string
+	for _, sc := range RobustnessScenarios() {
+		scenarios = append(scenarios, string(sc))
+	}
+	// Both axes are fixed lists, so resolving them cannot fail.
+	mbps, _ := runMatrix([]axis{
+		{scenarios, func(n string) (any, error) { return RobustnessScenario(n), nil }},
+		{protos, func(n string) (any, error) { return n, nil }},
+	}, func(at []any, _ int) float64 {
+		return runRobustnessCell(at[0].(RobustnessScenario), at[1].(string), d, in)
+	})
 	res := RobustnessResult{
 		Protocols: protos,
 		Rows:      make(map[RobustnessScenario]map[string]float64),
 		Durations: d,
 	}
-	for _, sc := range RobustnessScenarios() {
+	for i, sc := range RobustnessScenarios() {
 		res.Rows[sc] = make(map[string]float64)
-		for _, proto := range protos {
-			res.Rows[sc][proto] = runRobustnessCell(sc, proto, d, opts)
+		for j, proto := range protos {
+			res.Rows[sc][proto] = mbps[i*len(protos)+j]
 		}
 	}
 	return res
 }
 
-func runRobustnessCell(sc RobustnessScenario, proto string, d Durations, opts *InvariantOptions) float64 {
-	sched := sim.NewScheduler()
-	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	ic := opts.watch(fmt.Sprintf("robustness %s %s", sc, proto), sched, db.Net)
-	f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
+func runRobustnessCell(sc RobustnessScenario, proto string, d Durations, in instruments) float64 {
+	c, db := in.openDumbbell(fmt.Sprintf("robustness %s %s", sc, proto))
+	f := singleFlow(db)
 
 	switch sc {
 	case ScenarioAckLoss:
@@ -86,16 +92,16 @@ func runRobustnessCell(sc RobustnessScenario, proto string, d Durations, opts *I
 	case ScenarioDelayedAcks:
 		f.DelayedAcks = true
 	case ScenarioJitter:
-		db.Bottleneck.SetJitter(30*time.Millisecond, sim.NewRand(18))
+		db.Bottleneck.SetImpairment(netem.NewJitter(30*time.Millisecond, sim.NewRand(18)))
 	case ScenarioRED:
 		db.Bottleneck.AttachRED(netem.NewRED(db.Bottleneck.QueueCap, sim.NewRand(19)))
 	}
 
 	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	ic.flows(wf)
-	wf.MarkWindow(sched, d.Warm, d.Warm+d.Measure)
-	sched.RunUntil(d.Warm + d.Measure)
-	ic.finish()
+	c.measure(wf)
+	wf.MarkWindow(c.sched, d.Warm, d.Warm+d.Measure)
+	c.sched.RunUntil(d.Warm + d.Measure)
+	c.finish(metrics.Manifest{})
 	return stats.Mbps(stats.Throughput(wf.WindowBytes(), d.Measure))
 }
 

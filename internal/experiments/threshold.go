@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tcppr/internal/analysis"
+	"tcppr/internal/metrics"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
 	"tcppr/internal/tcp"
@@ -20,16 +21,16 @@ import (
 func RunThresholdSweep(d Durations, inv ...*InvariantOptions) *Table {
 	sched := sim.NewScheduler()
 	m := topo.NewMultipath(sched, 3, 10*time.Millisecond)
-	ic := firstInv(inv).watch("ext-threshold", sched, m.Net)
+	c := instruments{inv: firstInv(inv)}.open("ext-threshold", sched, m.Net)
 	fwd := routing.NewEpsilon(m.FwdPaths, 0, sim.NewRand(61))
 	rev := routing.NewEpsilon(m.RevPaths, 0, sim.NewRand(62))
 	f := tcp.NewFlow(m.Net, 1, m.Src, m.Dst, fwd, rev)
 	rec := trace.NewRecorder()
 	rec.Attach(f)
 	workload.NewFlow(f, workload.TCPPR, workload.PRParams{}, 0)
-	ic.flow(f, workload.TCPPR)
+	c.attach(f, workload.TCPPR)
 	sched.RunUntil(d.Warm + d.Measure)
-	ic.finish()
+	c.finish(metrics.Manifest{})
 
 	samples := analysis.ExtractSamples(rec)
 	betas := []float64{1.05, 1.25, 1.5, 2, 3, 5, 10}

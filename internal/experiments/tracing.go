@@ -1,20 +1,5 @@
 package experiments
 
-import (
-	"bytes"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-
-	"tcppr/internal/faults"
-	"tcppr/internal/netem"
-	"tcppr/internal/sim"
-	"tcppr/internal/span"
-	"tcppr/internal/tcp"
-	"tcppr/internal/workload"
-)
-
 // TraceOptions attaches the internal/span causal tracer to every simulation
 // cell of an experiment run. Each cell gets its own Collector (cells run on
 // the parallel worker pool, but each cell's simulation is single-threaded);
@@ -23,8 +8,7 @@ import (
 // (<cell>.spans.tsv). With FlightRecorder set, invariant violations, fault
 // applications, and panics additionally dump the event tail plus the
 // implicated packet's causal trail into <cell>.flight.txt. A nil
-// *TraceOptions disables tracing everywhere — every method is a no-op on
-// nil, the same pattern as MetricsOptions and InvariantOptions.
+// *TraceOptions disables tracing everywhere.
 type TraceOptions struct {
 	// Dir receives the per-cell trace artifacts.
 	Dir string
@@ -33,132 +17,4 @@ type TraceOptions struct {
 	FlightRecorder bool
 	// Cap bounds each cell's event ring; zero selects span.DefaultCap.
 	Cap int
-}
-
-// trace opens one cell's tracing scope: a Collector observing the network,
-// plus (optionally) an armed flight recorder buffering its dumps until
-// finish. Nil receiver → nil cell, and every traceCell method is a no-op
-// on nil.
-func (o *TraceOptions) trace(cell string, sched *sim.Scheduler, net *netem.Network) *traceCell {
-	if o == nil {
-		return nil
-	}
-	c := span.New(sched, o.Cap)
-	c.AttachNetwork(net)
-	tc := &traceCell{opts: o, name: cell, c: c}
-	if o.FlightRecorder {
-		tc.fr = span.NewFlightRecorder(c, &tc.flight)
-	}
-	return tc
-}
-
-// traceCell traces one simulation cell.
-type traceCell struct {
-	opts   *TraceOptions
-	name   string
-	c      *span.Collector
-	fr     *span.FlightRecorder
-	flight bytes.Buffer
-}
-
-// flow registers one flow with the collector (labels + sender probe).
-func (tc *traceCell) flow(f *tcp.Flow, protocol string) {
-	if tc == nil {
-		return
-	}
-	tc.c.AttachFlow(f, protocol)
-}
-
-// flows registers every measurement flow using its workload label.
-func (tc *traceCell) flows(fs ...*workload.Flow) {
-	if tc == nil {
-		return
-	}
-	for _, f := range fs {
-		tc.c.AttachFlow(f.Flow, f.Protocol)
-	}
-}
-
-// armChecker chains the flight recorder onto the cell's invariant checker,
-// so a violation dumps the causal trail of the implicated packet.
-func (tc *traceCell) armChecker(ic *invCell) {
-	if tc == nil || tc.fr == nil {
-		return
-	}
-	if ck := ic.checker(); ck != nil {
-		tc.fr.ArmChecker(ck)
-	}
-}
-
-// armTimeline records applied faults as ring events (and dumps on them
-// when the recorder is armed — the matrix's scripted faults are expected,
-// so DumpOnFault stays off; the events still mark the trace).
-func (tc *traceCell) armTimeline(tl *faults.Timeline) {
-	if tc == nil {
-		return
-	}
-	if tc.fr != nil {
-		tc.fr.ArmTimeline(tl)
-	} else {
-		prev := tl.OnEvent
-		c := tc.c
-		tl.OnEvent = func(ev faults.Event) {
-			if prev != nil {
-				prev(ev)
-			}
-			c.FaultApplied(ev.At, ev.Link, string(ev.Kind)+": "+ev.Note)
-		}
-	}
-}
-
-// finish exports the cell's artifacts into Dir and records their names in
-// the cell manifest. Export failures are reported on stderr rather than
-// aborting a simulation that already ran to completion.
-func (tc *traceCell) finish(ob *cellObserver) {
-	if tc == nil {
-		return
-	}
-	artifacts := []string{}
-	jsonFile := tc.name + ".trace.json"
-	if err := tc.writeFile(jsonFile, tc.c.WriteChromeTrace); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: cell %s: %v\n", tc.name, err)
-	} else {
-		artifacts = append(artifacts, jsonFile)
-	}
-	tsvFile := tc.name + ".spans.tsv"
-	if err := tc.writeFile(tsvFile, func(w io.Writer) error {
-		return span.WriteTSV(w, tc.c.Events())
-	}); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: cell %s: %v\n", tc.name, err)
-	} else {
-		artifacts = append(artifacts, tsvFile)
-	}
-	if tc.fr != nil && tc.flight.Len() > 0 {
-		flightFile := tc.name + ".flight.txt"
-		if err := tc.writeFile(flightFile, func(w io.Writer) error {
-			_, err := w.Write(tc.flight.Bytes())
-			return err
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: cell %s: %v\n", tc.name, err)
-		} else {
-			artifacts = append(artifacts, flightFile)
-		}
-	}
-	ob.artifacts(artifacts...)
-}
-
-func (tc *traceCell) writeFile(name string, write func(io.Writer) error) error {
-	path := filepath.Join(tc.opts.Dir, name)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -62,14 +62,11 @@ func TestDebugPRTrace(t *testing.T) {
 		now := sched.Now()
 		return now > 18500*time.Millisecond && now < 21*time.Second
 	}
-	for _, l := range d.Net.Links() {
-		l := l
-		l.OnDrop = func(p *netem.Packet) {
-			if interesting() {
-				fmt.Printf("  t=%v LINKDROP %s pkt flow=%d payload=%+v\n", sched.Now(), l, p.Flow, p.Payload)
-			}
+	d.Net.SetObserver(linkDropPrinter(func(l *netem.Link, p *netem.Packet) {
+		if interesting() {
+			fmt.Printf("  t=%v LINKDROP %s pkt flow=%d payload=%+v\n", sched.Now(), l, p.Flow, p.Payload)
 		}
-	}
+	}))
 	f.Hooks.OnDataSent = func(seg tcp.Seg, now sim.Time) {
 		if seg.Retx && interesting() {
 			fmt.Printf("  t=%v RETX seq=%d\n", now, seg.Seq)
@@ -91,3 +88,13 @@ func TestDebugPRTrace(t *testing.T) {
 	}
 	sched.RunUntil(45 * time.Second)
 }
+
+// linkDropPrinter adapts a drop callback to netem.Observer for the probe.
+type linkDropPrinter func(*netem.Link, *netem.Packet)
+
+func (f linkDropPrinter) PacketDropped(l *netem.Link, p *netem.Packet, _ netem.DropCause) { f(l, p) }
+func (linkDropPrinter) PacketSent(*netem.Packet)                                          {}
+func (linkDropPrinter) PacketEnqueued(_ *netem.Link, _ *netem.Packet, _, _, _ sim.Time)   {}
+func (linkDropPrinter) PacketDequeued(*netem.Link, *netem.Packet)                         {}
+func (linkDropPrinter) PacketDelivered(*netem.Link, *netem.Packet)                        {}
+func (linkDropPrinter) PacketDuplicated(_ *netem.Link, _, _ *netem.Packet, _, _ sim.Time) {}

@@ -29,7 +29,7 @@ func flapRun(t *testing.T, period time.Duration) (*topo.Multipath, *trace.Record
 	rec.Attach(f)
 	lrec := trace.NewLinkRecorder(sched)
 	for _, p := range m.FwdPaths {
-		lrec.Attach(p[len(p)-1]) // exit hop: a delivery here pins which path carried the packet
+		lrec.Attach(m.Net, p[len(p)-1]) // exit hop: a delivery here pins which path carried the packet
 	}
 	workload.NewFlow(f, workload.TCPPR, workload.PRParams{}, 0)
 	sched.RunUntil(10 * time.Second)

@@ -1,7 +1,7 @@
 // Package invariant is an online conformance oracle for the simulator: a
 // Checker attaches to a running scenario through the existing observation
-// seams — tcp.FlowHooks, the per-link OnDrop/OnDeliver callbacks, and the
-// scheduler clock — and verifies, while the simulation executes, that
+// seams — tcp.FlowHooks, the network's netem.Observer, and the scheduler
+// clock — and verifies, while the simulation executes, that
 //
 //   - packets are conserved: everything a flow sends is eventually
 //     delivered, dropped (queue, loss, blackout, corruption), or still in
@@ -18,8 +18,8 @@
 // Attaching also arms the sim/netem pool-ownership debug checks, so a
 // double-released event or packet panics at the release site instead of
 // corrupting an unrelated later run. When no Checker is attached nothing
-// in the hot path changes — the hooks stay nil and the pool checks stay
-// single predictable branches.
+// in the hot path changes — the observer stays nil and the pool checks
+// stay single predictable branches.
 //
 // Violations are recorded (capped) with the virtual time, rule name, and
 // flow; the fuzzer in internal/invariant/fuzzer composes random scenarios
@@ -74,7 +74,7 @@ type Checker struct {
 	violations []Violation
 
 	net   *netem.Network
-	links []*linkWatch
+	links []*netem.Link // watched at AttachNetwork, audited by Finish
 	flows map[int]*flowState
 	order []*flowState // attach order, for deterministic Finish
 
@@ -155,16 +155,17 @@ func (c *Checker) Err() error {
 	return fmt.Errorf("%s", sb.String())
 }
 
-// AttachNetwork wraps every link's OnDrop/OnDeliver hook with conservation
-// accounting and arms the packet/event pool ownership checks. Call it
-// after the topology is built and before (or alongside) AttachFlow.
+// AttachNetwork adds the checker to the network's observers (after any
+// already installed, which stay attached) for per-event link and
+// conservation accounting, and arms the packet/event pool ownership
+// checks. Call it after the topology is built and before (or alongside)
+// AttachFlow.
 func (c *Checker) AttachNetwork(n *netem.Network) {
 	c.net = n
 	n.SetDebugPool(true)
 	c.sched.SetDebugPool(true)
-	for _, l := range n.Links() {
-		c.watchLink(l)
-	}
+	c.links = append(c.links, n.Links()...)
+	n.SetObserver(netem.Multi(n.Observer(), c))
 }
 
 // AttachFlow chains the conformance rules for one flow onto its hooks.
@@ -194,11 +195,11 @@ func (c *Checker) Finish() {
 		fs.checkConservation(true)
 		fs.finishAbort()
 	}
-	for _, w := range c.links {
-		w.check()
-		st := w.l.Stats()
+	for _, l := range c.links {
+		c.checkLink(l)
+		st := l.Stats()
 		if st.Delivered+st.Corrupted > st.Enqueued+st.Duplicated {
-			c.violatef(w.l.String(), "link-balance",
+			c.violatef(l.String(), "link-balance",
 				"delivered %d + corrupted %d exceeds enqueued %d + duplicated %d",
 				st.Delivered, st.Corrupted, st.Enqueued, st.Duplicated)
 		}
@@ -206,10 +207,10 @@ func (c *Checker) Finish() {
 		// the horizon), a repair middlebox must be flushed at end of run:
 		// every held packet is delivered, dropped, or flushed — never
 		// silently stranded in a buffer.
-		if w.l.Repair() != nil && w.l.RepairHeldNow() != 0 {
-			c.violatef(w.l.String(), "repair-ledger",
+		if l.Repair() != nil && l.RepairHeldNow() != 0 {
+			c.violatef(l.String(), "repair-ledger",
 				"%d packets still in middlebox custody at end of run (missing RepairBox.Flush?)",
-				w.l.RepairHeldNow())
+				l.RepairHeldNow())
 		}
 	}
 }
@@ -220,14 +221,14 @@ func (c *Checker) Finish() {
 // exactly. (Packets still held at the horizon are legitimate — a batch
 // deadline past the cutoff — which is why quiescence does not demand
 // held == released.)
-func (w *linkWatch) checkReorderLedger() {
-	st := w.l.Stats()
+func (c *Checker) checkReorderLedger(l *netem.Link) {
+	st := l.Stats()
 	if st.ReorderReleased > st.ReorderHeld {
-		w.c.violatef(w.l.String(), "reorder-ledger",
+		c.violatef(l.String(), "reorder-ledger",
 			"reorder model released %d packets but only held %d", st.ReorderReleased, st.ReorderHeld)
 	}
-	if held := w.l.ReorderHeldNow(); uint64(held) != st.ReorderHeld-st.ReorderReleased {
-		w.c.violatef(w.l.String(), "reorder-ledger",
+	if held := l.ReorderHeldNow(); uint64(held) != st.ReorderHeld-st.ReorderReleased {
+		c.violatef(l.String(), "reorder-ledger",
 			"reorder custody count %d != held %d - released %d", held, st.ReorderHeld, st.ReorderReleased)
 	}
 }
@@ -237,14 +238,14 @@ func (w *linkWatch) checkReorderLedger() {
 // but must conserve them through the box, so releases can never outrun
 // holds and the live custody count must close the ledger exactly. The
 // end-of-run half (no packet held past the horizon) lives in Finish.
-func (w *linkWatch) checkRepairLedger() {
-	st := w.l.Stats()
+func (c *Checker) checkRepairLedger(l *netem.Link) {
+	st := l.Stats()
 	if st.RepairReleased > st.RepairHeld {
-		w.c.violatef(w.l.String(), "repair-ledger",
+		c.violatef(l.String(), "repair-ledger",
 			"middlebox released %d packets but only held %d", st.RepairReleased, st.RepairHeld)
 	}
-	if held := w.l.RepairHeldNow(); uint64(held) != st.RepairHeld-st.RepairReleased {
-		w.c.violatef(w.l.String(), "repair-ledger",
+	if held := l.RepairHeldNow(); uint64(held) != st.RepairHeld-st.RepairReleased {
+		c.violatef(l.String(), "repair-ledger",
 			"middlebox custody count %d != held %d - released %d", held, st.RepairHeld, st.RepairReleased)
 	}
 }
@@ -262,59 +263,47 @@ func (c *Checker) dupSlack() uint64 {
 	return d
 }
 
-// linkWatch wraps one link's hooks with per-event consistency checks.
-type linkWatch struct {
-	c *Checker
-	l *netem.Link
-}
-
-func (c *Checker) watchLink(l *netem.Link) {
-	w := &linkWatch{c: c, l: l}
-	prevDrop, prevDeliver := l.OnDrop, l.OnDeliver
-	l.OnDrop = func(p *netem.Packet) {
-		w.onDrop(p)
-		if prevDrop != nil {
-			prevDrop(p)
-		}
-	}
-	l.OnDeliver = func(p *netem.Packet) {
-		w.check()
-		if prevDeliver != nil {
-			prevDeliver(p)
-		}
-	}
-	c.links = append(c.links, w)
-}
-
-// check verifies the link's counter algebra at an event boundary: queue
-// occupancy must equal enqueued−dequeued, and deliveries (plus corrupt
-// discards) can never exceed what entered the link.
-func (w *linkWatch) check() {
-	st := w.l.Stats()
-	if got, want := w.l.QueueLen(), int(st.Enqueued)-int(st.Dequeued); got != want {
-		w.c.violatef(w.l.String(), "link-queue",
+// checkLink verifies the link's counter algebra at an event boundary:
+// queue occupancy must equal enqueued−dequeued, and deliveries (plus
+// corrupt discards) can never exceed what entered the link.
+func (c *Checker) checkLink(l *netem.Link) {
+	st := l.Stats()
+	if got, want := l.QueueLen(), int(st.Enqueued)-int(st.Dequeued); got != want {
+		c.violatef(l.String(), "link-queue",
 			"queue length %d != enqueued %d - dequeued %d", got, st.Enqueued, st.Dequeued)
 	}
 	if st.Delivered+st.Corrupted > st.Enqueued+st.Duplicated {
-		w.c.violatef(w.l.String(), "link-balance",
+		c.violatef(l.String(), "link-balance",
 			"delivered %d + corrupted %d exceeds enqueued %d + duplicated %d",
 			st.Delivered, st.Corrupted, st.Enqueued, st.Duplicated)
 	}
 	if st.ReorderHeld != 0 || st.ReorderReleased != 0 {
-		w.checkReorderLedger()
+		c.checkReorderLedger(l)
 	}
 	if st.RepairHeld != 0 || st.RepairReleased != 0 {
-		w.checkRepairLedger()
+		c.checkRepairLedger(l)
 	}
 }
 
-// onDrop attributes a terminal packet death to its flow. A packet dies at
-// most once (whichever link rejected or corrupted it); intermediate
-// deliveries are not terminal, so only the flow's own receive hooks count
-// the other end of the ledger.
-func (w *linkWatch) onDrop(p *netem.Packet) {
-	w.check()
-	fs := w.c.flows[p.Flow]
+// PacketSent, PacketEnqueued, PacketDequeued and PacketDuplicated complete
+// the netem.Observer interface; the link rules are checked at the
+// delivery and drop boundaries only.
+func (c *Checker) PacketSent(*netem.Packet)                                          {}
+func (c *Checker) PacketEnqueued(_ *netem.Link, _ *netem.Packet, _, _, _ sim.Time)   {}
+func (c *Checker) PacketDequeued(*netem.Link, *netem.Packet)                         {}
+func (c *Checker) PacketDuplicated(_ *netem.Link, _, _ *netem.Packet, _, _ sim.Time) {}
+
+// PacketDelivered checks the link's counter algebra at each hand-off.
+func (c *Checker) PacketDelivered(l *netem.Link, _ *netem.Packet) { c.checkLink(l) }
+
+// PacketDropped checks the link's counter algebra and attributes the
+// terminal packet death to its flow. A packet dies at most once (whichever
+// link rejected or corrupted it); intermediate deliveries are not
+// terminal, so only the flow's own receive hooks count the other end of
+// the ledger.
+func (c *Checker) PacketDropped(l *netem.Link, p *netem.Packet, _ netem.DropCause) {
+	c.checkLink(l)
+	fs := c.flows[p.Flow]
 	if fs == nil {
 		return // unattached (e.g. cross traffic)
 	}

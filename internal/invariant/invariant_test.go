@@ -149,7 +149,7 @@ func TestConservationCatchesPhantomDrop(t *testing.T) {
 
 	// Simulate a bookkeeping bug: the bottleneck reports a terminal drop
 	// of a data packet this flow never transmitted.
-	d.Bottleneck.OnDrop(&netem.Packet{Flow: 1, Payload: &tcp.Seg{Seq: 42}})
+	c.PacketDropped(d.Bottleneck, &netem.Packet{Flow: 1, Payload: &tcp.Seg{Seq: 42}}, netem.DropLoss)
 	if c.Total() == 0 {
 		t.Fatal("phantom drop not detected")
 	}

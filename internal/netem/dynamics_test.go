@@ -128,14 +128,14 @@ func TestLinkQueueCapShrink(t *testing.T) {
 
 // TestLinkCorruption checks the corruption impairment: corrupted packets
 // consume link resources but are discarded at the far end, counted, and
-// reported through OnDrop.
+// reported to the observer as drops.
 func TestLinkCorruption(t *testing.T) {
 	s, net := newTestNet()
 	l := net.AddLink("a", "b", mbps(100), 0, 1<<20)
-	l.SetCorruption(0.3, sim.NewRand(5))
+	l.SetImpairment(NewCorruption(0.3, sim.NewRand(5)))
 	delivered, dropped := 0, 0
 	net.Node("b").Handle(1, func(*Packet) { delivered++ })
-	l.OnDrop = func(*Packet) { dropped++ }
+	net.SetObserver(hookObs{drop: func(*Link, *Packet, DropCause) { dropped++ }})
 
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -149,7 +149,7 @@ func TestLinkCorruption(t *testing.T) {
 		t.Errorf("delivered %d + corrupted %d != %d", delivered, st.Corrupted, n)
 	}
 	if int(st.Corrupted) != dropped {
-		t.Errorf("OnDrop fired %d times, want %d (one per corruption)", dropped, st.Corrupted)
+		t.Errorf("drop observer fired %d times, want %d (one per corruption)", dropped, st.Corrupted)
 	}
 	frac := float64(st.Corrupted) / n
 	if frac < 0.25 || frac > 0.35 {
@@ -167,7 +167,7 @@ func TestLinkDuplication(t *testing.T) {
 	// Two hops so duplicates made on the first must forward over the second.
 	l1 := net.AddLink("a", "b", mbps(100), 0, 1<<20)
 	l2 := net.AddLink("b", "c", mbps(100), 0, 1<<20)
-	l1.SetDuplication(0.25, sim.NewRand(9))
+	l1.SetImpairment(NewDuplication(0.25, sim.NewRand(9)))
 	arrivals := 0
 	net.Node("c").Handle(1, func(*Packet) { arrivals++ })
 
@@ -186,18 +186,19 @@ func TestLinkDuplication(t *testing.T) {
 	}
 }
 
-// TestLinkOnDeliver checks the delivery hook: it fires once per packet
-// handed downstream (not for drops) with the packet still on this link.
-func TestLinkOnDeliver(t *testing.T) {
+// TestObserverPacketDelivered checks the delivery callback: it fires once
+// per packet handed downstream (not for drops) with the packet still on
+// this link.
+func TestObserverPacketDelivered(t *testing.T) {
 	s, net := newTestNet()
 	l := net.AddLink("a", "b", mbps(100), 0, 2)
 	seen := 0
-	l.OnDeliver = func(p *Packet) {
-		if p.NextLink() != l {
-			t.Errorf("OnDeliver packet already advanced past %s", l)
+	net.SetObserver(hookObs{deliver: func(at *Link, p *Packet) {
+		if at != l || p.NextLink() != l {
+			t.Errorf("PacketDelivered packet already advanced past %s", l)
 		}
 		seen++
-	}
+	}})
 	net.Node("b").Handle(1, func(*Packet) {})
 	accepted := 0
 	for i := 0; i < 10; i++ { // overflow the 2-slot queue: some drop
@@ -210,7 +211,7 @@ func TestLinkOnDeliver(t *testing.T) {
 		t.Fatal("expected some queue drops")
 	}
 	if seen != accepted {
-		t.Errorf("OnDeliver fired %d times, want %d (accepted packets only)", seen, accepted)
+		t.Errorf("PacketDelivered fired %d times, want %d (accepted packets only)", seen, accepted)
 	}
 }
 
@@ -223,8 +224,8 @@ func TestLinkDynamicSetterValidation(t *testing.T) {
 		"zero bandwidth": func() { l.SetBandwidth(0) },
 		"negative delay": func() { l.SetDelay(-time.Second) },
 		"zero queue":     func() { l.SetQueueCap(0) },
-		"corrupt > 1":    func() { l.SetCorruption(1.5, sim.NewRand(1)) },
-		"dup nil rng":    func() { l.SetDuplication(0.5, nil) },
+		"corrupt > 1":    func() { NewCorruption(1.5, sim.NewRand(1)) },
+		"dup nil rng":    func() { NewDuplication(0.5, nil) },
 	} {
 		func() {
 			defer func() {

@@ -96,7 +96,7 @@ func TestLinkJitterReordersPackets(t *testing.T) {
 	s, net := newTestNet()
 	// Tiny packets, large jitter: arrival order must scramble.
 	l := net.AddLink("a", "b", mbps(1000), time.Millisecond, 1<<20)
-	l.SetJitter(10*time.Millisecond, sim.NewRand(3))
+	l.SetImpairment(NewJitter(10*time.Millisecond, sim.NewRand(3)))
 	var order []uint64
 	net.Node("b").Handle(1, func(p *Packet) { order = append(order, p.ID) })
 	for i := 0; i < 200; i++ {
@@ -120,7 +120,7 @@ func TestLinkJitterReordersPackets(t *testing.T) {
 func TestLinkJitterBoundsDelay(t *testing.T) {
 	s, net := newTestNet()
 	l := net.AddLink("a", "b", mbps(10), 10*time.Millisecond, 100)
-	l.SetJitter(5*time.Millisecond, sim.NewRand(4))
+	l.SetImpairment(NewJitter(5*time.Millisecond, sim.NewRand(4)))
 	var arrivals []sim.Time
 	net.Node("b").Handle(1, func(*Packet) { arrivals = append(arrivals, s.Now()) })
 	for i := 0; i < 50; i++ {
@@ -199,5 +199,40 @@ func TestREDFullRangeDropsEverything(t *testing.T) {
 	}
 	if tailAdmitted != 0 {
 		t.Errorf("RED admitted %d packets with avg far beyond 2*MaxTh", tailAdmitted)
+	}
+}
+
+// TestImpairmentStackComposes: a Stack's verdict is exactly the merge of
+// its members' verdicts — delays add, flags OR — and each member draws
+// only from its own RNG stream, so stacking perturbs no member's draws.
+func TestImpairmentStackComposes(t *testing.T) {
+	stack := Stack{
+		NewJitter(3*time.Millisecond, sim.NewRand(11)),
+		NewCorruption(0.05, sim.NewRand(12)),
+		NewDuplication(0.05, sim.NewRand(13)),
+	}
+	jit := NewJitter(3*time.Millisecond, sim.NewRand(11))
+	cor := NewCorruption(0.05, sim.NewRand(12))
+	dup := NewDuplication(0.05, sim.NewRand(13))
+	var corrupted, duplicated int
+	for i := 0; i < 2000; i++ {
+		got := stack.Apply(1000)
+		want := Effect{
+			ExtraDelay: jit.Apply(1000).ExtraDelay,
+			Corrupt:    cor.Apply(1000).Corrupt,
+			Duplicate:  dup.Apply(1000).Duplicate,
+		}
+		if got != want {
+			t.Fatalf("packet %d: stack verdict %+v, members %+v", i, got, want)
+		}
+		if got.Corrupt {
+			corrupted++
+		}
+		if got.Duplicate {
+			duplicated++
+		}
+	}
+	if corrupted == 0 || duplicated == 0 {
+		t.Fatalf("impairments never fired (corrupted=%d duplicated=%d); test is vacuous", corrupted, duplicated)
 	}
 }

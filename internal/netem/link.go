@@ -25,14 +25,15 @@ type LinkStats struct {
 	// administratively down (SetDown).
 	BlackoutDropped uint64
 	// Corrupted is the number of packets that traversed the link but were
-	// discarded at the far end with a broken checksum (SetCorruption).
+	// discarded at the far end with a broken checksum (a Corruption
+	// impairment).
 	Corrupted uint64
 	// HostDownDropped is the number of packets killed because an endpoint
 	// host of this link was down (Node.SetDown): rejections at enqueue plus
 	// in-flight packets destroyed on delivery.
 	HostDownDropped uint64
 	// Duplicated is the number of extra packet copies the link delivered
-	// (SetDuplication); each copy also counts in Delivered.
+	// (a Duplication impairment); each copy also counts in Delivered.
 	Duplicated uint64
 	// ReorderHeld is the number of packets the reorder model took custody
 	// of (SetReorderModel); ReorderReleased the number it handed back.
@@ -129,16 +130,6 @@ type Link struct {
 	heldNow int
 	repair  *RepairBox
 	red     *RED
-
-	// OnDrop, if non-nil, is invoked for every packet lost on this link
-	// (queue overflow, random loss, blackout, or corruption); used by
-	// traces and tests.
-	OnDrop func(*Packet)
-	// OnDeliver, if non-nil, is invoked for every packet this link hands
-	// to the downstream node, just before the hand-off (the packet still
-	// reads as being on this link). Fault experiments and traces observe
-	// successful per-link deliveries here without wrapping nodes.
-	OnDeliver func(*Packet)
 }
 
 // SetLoss configures independent per-packet random loss with the given
@@ -170,81 +161,8 @@ func (l *Link) LossModel() LossModel { return l.loss }
 // admission.
 func (l *Link) SetImpairment(m Impairment) { l.impair = m }
 
-// Impairment returns the installed impairment process, or nil. A link
-// configured through the deprecated SetJitter/SetCorruption/
-// SetDuplication wrappers reports the composite those setters maintain.
+// Impairment returns the installed impairment process, or nil.
 func (l *Link) Impairment() Impairment { return l.impair }
-
-// std returns the legacy composite the deprecated setters mutate,
-// creating it on first use. The setters and SetImpairment are mutually
-// exclusive configuration styles; mixing them would silently discard one
-// side, so it panics instead.
-func (l *Link) std() *stdImpair {
-	switch m := l.impair.(type) {
-	case nil:
-		s := &stdImpair{}
-		l.impair = s
-		return s
-	case *stdImpair:
-		return m
-	default:
-		panic(fmt.Sprintf("netem: legacy impairment setter on %s would clobber the Impairment installed via SetImpairment; configure a Stack instead", l))
-	}
-}
-
-// SetJitter adds an independent uniform extra propagation delay in
-// [0, jitter] per packet, modeling per-packet queueing variation in a
-// QoS/DiffServ element. Because each packet's delay is drawn
-// independently, jitter larger than a packet's serialization time causes
-// reordering on the link itself. The RNG must come from sim.NewRand.
-//
-// Deprecated: thin wrapper over SetImpairment, kept (byte-identical)
-// for existing call sites; new code should install a *Jitter directly.
-func (l *Link) SetJitter(jitter time.Duration, rng *rand.Rand) {
-	if jitter < 0 {
-		panic("netem: negative jitter")
-	}
-	if jitter > 0 && rng == nil {
-		panic("netem: SetJitter requires a seeded RNG")
-	}
-	l.std().jitter = Jitter{Max: jitter, RNG: rng}
-}
-
-// SetCorruption makes each delivered packet arrive corrupted with the
-// given probability: the packet consumes its queue slot, serialization
-// time, and propagation delay, then is discarded at the far end instead of
-// handed to the node (a checksum failure). The RNG must come from
-// sim.NewRand.
-//
-// Deprecated: thin wrapper over SetImpairment, kept (byte-identical)
-// for existing call sites; new code should install a *Corruption.
-func (l *Link) SetCorruption(prob float64, rng *rand.Rand) {
-	if prob < 0 || prob > 1 {
-		panic(fmt.Sprintf("netem: corruption probability %v out of [0,1]", prob))
-	}
-	if prob > 0 && rng == nil {
-		panic("netem: SetCorruption requires a seeded RNG")
-	}
-	l.std().corrupt = Corruption{Prob: prob, RNG: rng}
-}
-
-// SetDuplication makes the link deliver an extra copy of each packet with
-// the given probability, modeling link-layer retransmission duplicates.
-// The copy arrives immediately after the original with an independent
-// route state, so a duplicate on a multi-hop path forwards normally. The
-// RNG must come from sim.NewRand.
-//
-// Deprecated: thin wrapper over SetImpairment, kept (byte-identical)
-// for existing call sites; new code should install a *Duplication.
-func (l *Link) SetDuplication(prob float64, rng *rand.Rand) {
-	if prob < 0 || prob > 1 {
-		panic(fmt.Sprintf("netem: duplication probability %v out of [0,1]", prob))
-	}
-	if prob > 0 && rng == nil {
-		panic("netem: SetDuplication requires a seeded RNG")
-	}
-	l.std().dup = Duplication{Prob: prob, RNG: rng}
-}
 
 // SetReorderModel installs the link's packet-reordering process (nil
 // disables) and binds it to this link as its ReleaseSink. Swapping
@@ -520,8 +438,8 @@ func linkDequeuedTraced(arg any) {
 func (l *Link) deliverEvent(arg any) { l.deliver(arg.(*Packet)) }
 
 // deliver completes one packet's traversal: corrupted packets die at the
-// far end (counted, OnDrop-notified, recycled); clean packets are handed
-// to the downstream node.
+// far end (counted, reported to the observer, recycled); clean packets are
+// handed to the downstream node.
 func (l *Link) deliver(p *Packet) {
 	// A host fault mid-flight destroys the packet at delivery time: queued
 	// and propagating packets of a crashed endpoint never arrive (its NIC
@@ -548,8 +466,8 @@ func (l *Link) deliver(p *Packet) {
 	l.finishDeliver(p)
 }
 
-// finishDeliver is the unconditional tail of delivery: counters,
-// observer/hook notifications, and the hand-off to the downstream node.
+// finishDeliver is the unconditional tail of delivery: counters, the
+// observer notification, and the hand-off to the downstream node.
 // The repair middlebox releases held packets through it directly, so a
 // repaired packet is delivered exactly once and never re-intercepted.
 func (l *Link) finishDeliver(p *Packet) {
@@ -558,21 +476,15 @@ func (l *Link) finishDeliver(p *Packet) {
 	if l.obs != nil {
 		l.obs.PacketDelivered(l, p)
 	}
-	if l.OnDeliver != nil {
-		l.OnDeliver(p)
-	}
 	p.advance()
 	l.To.receive(p)
 }
 
-// drop reports one packet death to the observer and the OnDrop hook; the
-// per-cause stats counter is incremented at the call site.
+// drop reports one packet death to the observer; the per-cause stats
+// counter is incremented at the call site.
 func (l *Link) drop(p *Packet, cause DropCause) {
 	if l.obs != nil {
 		l.obs.PacketDropped(l, p, cause)
-	}
-	if l.OnDrop != nil {
-		l.OnDrop(p)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestLinkDropTail(t *testing.T) {
 	delivered := 0
 	net.Node("b").Handle(1, func(p *Packet) { delivered++ })
 	var droppedIDs []uint64
-	l.OnDrop = func(p *Packet) { droppedIDs = append(droppedIDs, p.ID) }
+	net.SetObserver(hookObs{drop: func(_ *Link, p *Packet, _ DropCause) { droppedIDs = append(droppedIDs, p.ID) }})
 
 	accepted := 0
 	for i := 0; i < 10; i++ {
@@ -97,7 +97,7 @@ func TestLinkDropTail(t *testing.T) {
 		t.Errorf("Dropped = %d, want 5", l.Stats().Dropped)
 	}
 	if len(droppedIDs) != 5 {
-		t.Errorf("OnDrop fired %d times, want 5", len(droppedIDs))
+		t.Errorf("drop observer fired %d times, want 5", len(droppedIDs))
 	}
 	if got := l.Stats().DropRate(); got != 0.5 {
 		t.Errorf("DropRate = %v, want 0.5", got)

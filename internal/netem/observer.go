@@ -61,11 +61,12 @@ func (c DropCause) String() string {
 }
 
 // Observer receives the full per-packet lifecycle of a network: injection,
-// queueing, serialization, propagation, delivery, and death. It is the
-// tracing seam internal/span attaches to. A nil observer costs one
-// predictable branch per event on the hot path (the same contract as the
-// OnDrop/OnDeliver hooks and the pool debug checks), so detached runs keep
-// the 0 allocs/op forwarding path.
+// queueing, serialization, propagation, delivery, and death. It is the one
+// link-observation seam: the span tracer, the invariant checker, and the
+// link recorder in internal/trace all attach here, composed with Multi. A
+// nil observer costs one predictable branch per event on the hot path (the
+// same contract as the pool debug checks), so detached runs keep the
+// 0 allocs/op forwarding path.
 //
 // Callbacks run synchronously inside the simulation; implementations must
 // not retain packet pointers beyond the call (the pool ownership contract)
@@ -93,11 +94,87 @@ type Observer interface {
 }
 
 // SetObserver installs (or, with nil, removes) the lifecycle observer on
-// the network and every existing link; links added later inherit it. Attach
-// after the topology is built, before the clock runs.
+// the network and every existing link; links added later inherit it. It
+// replaces whatever was installed: to add an observer alongside the current
+// one, install Multi(n.Observer(), o). Attach after the topology is built,
+// before the clock runs.
 func (n *Network) SetObserver(o Observer) {
 	n.obs = o
 	for _, l := range n.links {
 		l.obs = o
+	}
+}
+
+// Observer returns the installed lifecycle observer, or nil.
+func (n *Network) Observer() Observer { return n.obs }
+
+// Multi fans every lifecycle event out to parts, in argument order;
+// middlebox events reach the parts that implement RepairObserver. Nil
+// parts are dropped and nested Multi results are flattened; with one part
+// left it is returned unwrapped (no extra dispatch), with none Multi
+// returns nil.
+func Multi(parts ...Observer) Observer {
+	var m multi
+	for _, o := range parts {
+		switch o := o.(type) {
+		case nil:
+		case multi:
+			m = append(m, o...)
+		default:
+			m = append(m, o)
+		}
+	}
+	switch len(m) {
+	case 0:
+		return nil
+	case 1:
+		return m[0]
+	}
+	return m
+}
+
+type multi []Observer
+
+func (m multi) PacketSent(p *Packet) {
+	for _, o := range m {
+		o.PacketSent(p)
+	}
+}
+
+func (m multi) PacketEnqueued(l *Link, p *Packet, txStart, txEnd, arrive sim.Time) {
+	for _, o := range m {
+		o.PacketEnqueued(l, p, txStart, txEnd, arrive)
+	}
+}
+
+func (m multi) PacketDequeued(l *Link, p *Packet) {
+	for _, o := range m {
+		o.PacketDequeued(l, p)
+	}
+}
+
+func (m multi) PacketDelivered(l *Link, p *Packet) {
+	for _, o := range m {
+		o.PacketDelivered(l, p)
+	}
+}
+
+func (m multi) PacketDropped(l *Link, p *Packet, cause DropCause) {
+	for _, o := range m {
+		o.PacketDropped(l, p, cause)
+	}
+}
+
+func (m multi) PacketDuplicated(l *Link, orig, dup *Packet, txEnd, arrive sim.Time) {
+	for _, o := range m {
+		o.PacketDuplicated(l, orig, dup, txEnd, arrive)
+	}
+}
+
+func (m multi) PacketRepair(l *Link, p *Packet, action RepairAction, heldFor sim.Time) {
+	for _, o := range m {
+		if ro, ok := o.(RepairObserver); ok {
+			ro.PacketRepair(l, p, action, heldFor)
+		}
 	}
 }

@@ -184,72 +184,6 @@ func TestReorderScenarioCatalog(t *testing.T) {
 	}
 }
 
-// TestImpairmentStackMatchesLegacySetters pins the API redesign: a Stack
-// of Jitter+Corruption+Duplication behaves byte-identically to the
-// deprecated setter trio given the same seeds.
-func TestImpairmentStackMatchesLegacySetters(t *testing.T) {
-	run := func(configure func(*Link)) ([]sim.Time, LinkStats) {
-		s := sim.NewScheduler()
-		net := NewNetwork(s)
-		l := net.AddLink("a", "b", 10_000_000, time.Millisecond, 200)
-		configure(l)
-		var arrivals []sim.Time
-		net.Node("b").Handle(1, func(*Packet) { arrivals = append(arrivals, s.Now()) })
-		for i := 0; i < 150; i++ {
-			at := sim.Time(i) * sim.Time(700*time.Microsecond)
-			s.At(at, func() {
-				p := net.NewPacket()
-				p.Flow, p.Size, p.Path = 1, 1000, []*Link{l}
-				net.Send(p)
-			})
-		}
-		s.Run()
-		return arrivals, l.Stats()
-	}
-	legacyArr, legacySt := run(func(l *Link) {
-		l.SetJitter(3*time.Millisecond, sim.NewRand(11))
-		l.SetCorruption(0.05, sim.NewRand(12))
-		l.SetDuplication(0.05, sim.NewRand(13))
-	})
-	stackArr, stackSt := run(func(l *Link) {
-		l.SetImpairment(Stack{
-			NewJitter(3*time.Millisecond, sim.NewRand(11)),
-			NewCorruption(0.05, sim.NewRand(12)),
-			NewDuplication(0.05, sim.NewRand(13)),
-		})
-	})
-	if legacySt != stackSt {
-		t.Fatalf("stats diverge:\nlegacy %+v\nstack  %+v", legacySt, stackSt)
-	}
-	if len(legacyArr) != len(stackArr) {
-		t.Fatalf("arrival counts diverge: %d vs %d", len(legacyArr), len(stackArr))
-	}
-	for i := range legacyArr {
-		if legacyArr[i] != stackArr[i] {
-			t.Fatalf("arrival %d diverges: %v vs %v", i, legacyArr[i], stackArr[i])
-		}
-	}
-	if legacySt.Corrupted == 0 || legacySt.Duplicated == 0 {
-		t.Fatalf("impairments never fired (corrupted=%d duplicated=%d); test is vacuous",
-			legacySt.Corrupted, legacySt.Duplicated)
-	}
-}
-
-// TestLegacySetterAfterSetImpairmentPanics: the two configuration styles
-// must not silently clobber each other.
-func TestLegacySetterAfterSetImpairmentPanics(t *testing.T) {
-	s := sim.NewScheduler()
-	net := NewNetwork(s)
-	l := net.AddLink("a", "b", 10_000_000, time.Millisecond, 10)
-	l.SetImpairment(Stack{NewJitter(time.Millisecond, sim.NewRand(1))})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetJitter after SetImpairment did not panic")
-		}
-	}()
-	l.SetJitter(time.Millisecond, sim.NewRand(2))
-}
-
 // TestReorderDetachedZeroAllocs is the hot-path gate the PERFORMANCE
 // note cites: with no reorder model installed, steady-state forwarding
 // through the reorder-aware enqueue path still allocates nothing.

@@ -274,9 +274,9 @@ func FuzzRepairBuffer(f *testing.F) {
 				gotDelivered[fl] = append(gotDelivered[fl], p.Payload.(SequencedPayload).RepairSeq())
 			})
 		}
-		l.OnDrop = func(p *Packet) {
+		net.SetObserver(hookObs{drop: func(_ *Link, p *Packet, _ DropCause) {
 			gotDropped[p.Flow] = append(gotDropped[p.Flow], p.Payload.(SequencedPayload).RepairSeq())
-		}
+		}})
 
 		sent := make(map[int]int)
 		var cursor time.Duration

@@ -259,8 +259,7 @@ func TestRepairOverflowDrop(t *testing.T) {
 	var dropped []DropCause
 	got, l := repairRun(t, func(l *Link) {
 		l.SetRepair(box)
-		l.OnDrop = func(*Packet) {}
-		l.obs = dropObs{&dropped}
+		l.obs = hookObs{drop: func(_ *Link, _ *Packet, c DropCause) { dropped = append(dropped, c) }}
 	}, []repairSend{
 		{0, 1, 0},
 		{2 * time.Millisecond, 1, 2},
@@ -287,16 +286,6 @@ func TestRepairOverflowDrop(t *testing.T) {
 		t.Errorf("DropRepairOverflow.String() = %q", DropRepairOverflow)
 	}
 }
-
-// dropObs is a minimal Observer recording drop causes.
-type dropObs struct{ causes *[]DropCause }
-
-func (dropObs) PacketSent(*Packet)                                           {}
-func (dropObs) PacketEnqueued(*Link, *Packet, sim.Time, sim.Time, sim.Time)  {}
-func (dropObs) PacketDequeued(*Link, *Packet)                                {}
-func (dropObs) PacketDelivered(*Link, *Packet)                               {}
-func (o dropObs) PacketDropped(_ *Link, _ *Packet, c DropCause)              { *o.causes = append(*o.causes, c) }
-func (dropObs) PacketDuplicated(*Link, *Packet, *Packet, sim.Time, sim.Time) {}
 
 // TestRepairLRUEviction: admitting a flow past MaxFlows evicts the
 // least-recently-active flow and flushes its buffer unrepaired.

@@ -189,9 +189,12 @@ func New(sched *sim.Scheduler, capacity int) *Collector {
 	}
 }
 
-// AttachNetwork installs the collector as the network's lifecycle
-// observer. Call after the topology is built.
-func (c *Collector) AttachNetwork(n *netem.Network) { n.SetObserver(c) }
+// AttachNetwork adds the collector to the network's observers, ahead of
+// any already installed (which stay attached). Going first means every
+// observer reacting to an event — the invariant checker arming a flight
+// dump — finds that event already in the ring. Call after the topology is
+// built.
+func (c *Collector) AttachNetwork(n *netem.Network) { n.SetObserver(netem.Multi(c, n.Observer())) }
 
 // AttachFlow registers a flow under its protocol label and, when the
 // sender supports it, installs a probe for its control-plane transitions.

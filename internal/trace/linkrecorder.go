@@ -22,45 +22,63 @@ type LinkEvent struct {
 	Size int
 }
 
-// LinkRecorder captures per-link delivery and drop events through the
-// netem OnDeliver/OnDrop hooks — the link-level counterpart of Recorder's
-// flow-level log. Fault experiments use it to see exactly which packets a
-// blackout or burst ate, and the determinism tests compare its TSV dump
-// byte-for-byte across same-seed runs.
+// LinkRecorder captures per-link delivery and drop events as a
+// netem.Observer — the link-level counterpart of Recorder's flow-level
+// log. Fault experiments use it to see exactly which packets a blackout or
+// burst ate, and the determinism tests compare its TSV dump byte-for-byte
+// across same-seed runs.
 type LinkRecorder struct {
 	Events []LinkEvent
 
 	sched *sim.Scheduler
+	net   *netem.Network
+	links map[*netem.Link]string
 	drops int
 }
 
 // NewLinkRecorder returns an empty recorder bound to the scheduler whose
 // clock timestamps the events.
 func NewLinkRecorder(sched *sim.Scheduler) *LinkRecorder {
-	return &LinkRecorder{sched: sched}
+	return &LinkRecorder{sched: sched, links: make(map[*netem.Link]string)}
 }
 
-// Attach wires the recorder into a link's hooks, chaining in front of any
-// observer already installed.
-func (r *LinkRecorder) Attach(l *netem.Link) {
-	name := l.String()
-	prevDeliver, prevDrop := l.OnDeliver, l.OnDrop
-	l.OnDeliver = func(p *netem.Packet) {
-		r.Events = append(r.Events, LinkEvent{
-			At: r.sched.Now(), Link: name, Kind: 'd', Flow: p.Flow, ID: p.ID, Size: p.Size})
-		if prevDeliver != nil {
-			prevDeliver(p)
-		}
+// Attach starts recording the events of link l of network n. The first
+// Attach on a network adds the recorder to its observers, after any
+// already installed (which stay attached).
+func (r *LinkRecorder) Attach(n *netem.Network, l *netem.Link) {
+	if r.net != n {
+		r.net = n
+		n.SetObserver(netem.Multi(n.Observer(), r))
 	}
-	l.OnDrop = func(p *netem.Packet) {
+	r.links[l] = l.String()
+}
+
+func (r *LinkRecorder) record(l *netem.Link, p *netem.Packet, kind byte) bool {
+	name, ok := r.links[l]
+	if ok {
 		r.Events = append(r.Events, LinkEvent{
-			At: r.sched.Now(), Link: name, Kind: 'x', Flow: p.Flow, ID: p.ID, Size: p.Size})
+			At: r.sched.Now(), Link: name, Kind: kind, Flow: p.Flow, ID: p.ID, Size: p.Size})
+	}
+	return ok
+}
+
+// PacketDelivered records a hand-off on an attached link.
+func (r *LinkRecorder) PacketDelivered(l *netem.Link, p *netem.Packet) { r.record(l, p, 'd') }
+
+// PacketDropped records a loss on an attached link.
+func (r *LinkRecorder) PacketDropped(l *netem.Link, p *netem.Packet, _ netem.DropCause) {
+	if r.record(l, p, 'x') {
 		r.drops++
-		if prevDrop != nil {
-			prevDrop(p)
-		}
 	}
 }
+
+// PacketSent, PacketEnqueued, PacketDequeued and PacketDuplicated complete
+// the netem.Observer interface; the recorder logs hand-offs and losses
+// only.
+func (r *LinkRecorder) PacketSent(*netem.Packet)                                          {}
+func (r *LinkRecorder) PacketEnqueued(_ *netem.Link, _ *netem.Packet, _, _, _ sim.Time)   {}
+func (r *LinkRecorder) PacketDequeued(*netem.Link, *netem.Packet)                         {}
+func (r *LinkRecorder) PacketDuplicated(_ *netem.Link, _, _ *netem.Packet, _, _ sim.Time) {}
 
 // Drops returns the number of loss events recorded across all attached
 // links.

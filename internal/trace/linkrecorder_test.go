@@ -10,18 +10,28 @@ import (
 	"tcppr/internal/sim"
 )
 
+// dropCounter is a pre-installed observer counting drops.
+type dropCounter struct{ drops int }
+
+func (c *dropCounter) PacketDropped(*netem.Link, *netem.Packet, netem.DropCause)             { c.drops++ }
+func (*dropCounter) PacketSent(*netem.Packet)                                                {}
+func (*dropCounter) PacketEnqueued(*netem.Link, *netem.Packet, sim.Time, sim.Time, sim.Time) {}
+func (*dropCounter) PacketDequeued(*netem.Link, *netem.Packet)                               {}
+func (*dropCounter) PacketDelivered(*netem.Link, *netem.Packet)                              {}
+func (*dropCounter) PacketDuplicated(_ *netem.Link, _, _ *netem.Packet, _, _ sim.Time)       {}
+
 // TestLinkRecorder drives packets over an overflowing link and checks the
-// recorder sees every delivery and every drop, chains with pre-installed
-// hooks, and dumps a stable TSV.
+// recorder sees every delivery and every drop, composes with a
+// pre-installed observer, and dumps a stable TSV.
 func TestLinkRecorder(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.NewNetwork(sched)
 	l := net.AddLink("a", "b", int64(8e6), time.Millisecond, 2) // 1ms per 1000B
-	preDrops := 0
-	l.OnDrop = func(*netem.Packet) { preDrops++ } // must survive Attach
+	pre := &dropCounter{}
+	net.SetObserver(pre) // must survive Attach
 
 	rec := NewLinkRecorder(sched)
-	rec.Attach(l)
+	rec.Attach(net, l)
 	net.Node("b").Handle(1, func(*netem.Packet) {})
 
 	accepted := 0
@@ -38,8 +48,8 @@ func TestLinkRecorder(t *testing.T) {
 	if rec.Drops() != 8-accepted {
 		t.Errorf("Drops = %d, want %d", rec.Drops(), 8-accepted)
 	}
-	if preDrops != rec.Drops() {
-		t.Errorf("pre-installed OnDrop saw %d, want %d (chaining broken)", preDrops, rec.Drops())
+	if pre.drops != rec.Drops() {
+		t.Errorf("pre-installed observer saw %d drops, want %d (composition broken)", pre.drops, rec.Drops())
 	}
 	deliveries := 0
 	for _, e := range rec.Events {
