@@ -92,6 +92,7 @@ func Suite() []Bench {
 	return []Bench{
 		{Name: "scheduler/events", F: benchSchedulerEvents},
 		{Name: "scheduler/timer", F: benchSchedulerTimer},
+		{Name: "scheduler/deep", F: benchSchedulerDeep},
 		{Name: "link/forwarding", F: benchLinkForwarding},
 		{Name: "link/reorder-swap", F: benchLinkReorderSwap},
 		{Name: "link/repair-active", F: benchLinkRepairActive},
@@ -222,6 +223,56 @@ func benchSchedulerTimer(b *testing.B) {
 	b.ResetTimer()
 	tm.ResetAfter(time.Microsecond)
 	s.Run()
+}
+
+// deepFlows is the number of self-rearming sources in benchSchedulerDeep.
+// Each keeps one send event and one loss timer pending, about 2k pending
+// events in all, near the 1.7k mean depth of a Fig 5 multipath run with
+// four TCP-PR flows.
+const deepFlows = 1024
+
+// deepFlow is one source of benchSchedulerDeep: a pseudo-random delay
+// stream and the handle of its pending loss timer.
+type deepFlow struct {
+	s     *sim.Scheduler
+	rng   uint32
+	timer sim.Handle
+}
+
+// deepSend models one TCP-PR transmission: it re-arms the flow's next send
+// after a pseudo-random gap of 1–1024 µs, cancels the previous packet's
+// loss timer (its ACK arrived) and arms a new one at three times the gap,
+// so most timers are cancelled before they fire and the heap carries
+// buried cancelled entries the way a TCP-PR run does.
+func deepSend(arg any) {
+	f := arg.(*deepFlow)
+	f.rng = f.rng*1664525 + 1013904223
+	gap := time.Duration(f.rng>>22+1) * time.Microsecond
+	f.s.AfterFunc(gap, deepSend, f)
+	f.timer.Cancel()
+	f.timer = f.s.AfterFunc(3*gap, deepLoss, f)
+}
+
+func deepLoss(any) {}
+
+// benchSchedulerDeep measures one scheduler step (pop plus the pushes its
+// callback makes) at a realistic queue depth, where benchSchedulerEvents
+// only ever holds one event. The warm-up pass grows the heap and the free
+// list so the timed region is the steady state.
+func benchSchedulerDeep(b *testing.B) {
+	s := sim.NewScheduler()
+	for i := 0; i < deepFlows; i++ {
+		s.AfterFunc(time.Duration(i)*time.Microsecond, deepSend, &deepFlow{s: s, rng: uint32(i)})
+	}
+	for i := 0; i < 64*deepFlows; i++ {
+		s.Step()
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
 }
 
 // benchLinkForwarding measures per-packet cost through a two-hop path

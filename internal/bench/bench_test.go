@@ -54,6 +54,25 @@ func TestEngineObsDetachedZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSchedulerDeepZeroAllocs pins the event queue at 0 allocs/op at a
+// realistic depth: heap growth and pooling must both be done by the time
+// the steady state is measured.
+func TestSchedulerDeepZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark gate in -short mode")
+	}
+	r := testing.Benchmark(benchSchedulerDeep)
+	if got := r.AllocsPerOp(); got != 0 {
+		t.Fatalf("deep-queue scheduling allocates %d allocs/op, want 0", got)
+	}
+}
+
+// BenchmarkSchedulerDeep is the deep-queue scheduler entry, runnable on
+// its own:
+//
+//	go test -run '^$' -bench SchedulerDeep ./internal/bench
+func BenchmarkSchedulerDeep(b *testing.B) { benchSchedulerDeep(b) }
+
 func TestRegressions(t *testing.T) {
 	art := Artifact{
 		Baseline: []Measurement{{Name: "x", AllocsPerOp: 10}},

@@ -216,11 +216,15 @@ type Sender struct {
 	ewrtt time.Duration // 0 until the first sample
 	mxrtt time.Duration
 
-	inflight   map[int64]*flight // to-be-ack
-	flightFree []*flight         // recycled to-be-ack entries (hot-path pool)
-	retxQueue  tcp.IntervalSet   // to-be-sent: sequences awaiting retransmission
-	nextNew    int64             // to-be-sent: head of the infinite new-data supply
-	una        int64             // highest cumulative ack seen
+	// inflight is the to-be-ack list, indexed by sequence over
+	// [una, nextNew). A dropped packet leaves a hole until its
+	// retransmission re-inserts it, and a cumulative ACK pops only the
+	// entries it covers.
+	inflight   tcp.SeqWindow[*flight]
+	flightFree []*flight       // recycled to-be-ack entries (hot-path pool)
+	retxQueue  tcp.IntervalSet // to-be-sent: sequences awaiting retransmission
+	nextNew    int64           // to-be-sent: head of the infinite new-data supply
+	una        int64           // highest cumulative ack seen
 
 	memorizeCount int      // size of the memorize list (flagged in-flight packets)
 	cburst        int      // drops charged to the current burst (§3.2)
@@ -262,13 +266,12 @@ type Sender struct {
 func New(env tcp.SenderEnv, cfg Config) *Sender {
 	cfg.fill()
 	s := &Sender{
-		env:      env,
-		cfg:      cfg,
-		mode:     SlowStart,
-		cwnd:     cfg.InitialCwnd,
-		ssthr:    cfg.InitialSsthresh,
-		mxrtt:    cfg.InitialMxrtt,
-		inflight: make(map[int64]*flight),
+		env:   env,
+		cfg:   cfg,
+		mode:  SlowStart,
+		cwnd:  cfg.InitialCwnd,
+		ssthr: cfg.InitialSsthresh,
+		mxrtt: cfg.InitialMxrtt,
 	}
 	s.resumeTimer = sim.NewTimer(env.Sched, s.flush)
 	s.checkDropFn = s.checkDropEvent
@@ -293,7 +296,7 @@ func (s *Sender) newFlight() *flight {
 	return &flight{}
 }
 
-// putFlight recycles a to-be-ack entry once it left the inflight map. The
+// putFlight recycles a to-be-ack entry once it left the to-be-ack window. The
 // loss timer must be cancelled here: each flight owns at most one pending
 // timer event, and that event's argument is the flight itself — letting it
 // fire after recycling would evaluate whatever sequence the entry carries
@@ -336,7 +339,7 @@ func (s *Sender) Mxrtt() time.Duration { return s.mxrtt }
 func (s *Sender) Una() int64 { return s.una }
 
 // InFlight returns the size of the to-be-ack list.
-func (s *Sender) InFlight() int { return len(s.inflight) }
+func (s *Sender) InFlight() int { return s.inflight.Len() }
 
 // MemorizeLen returns the size of the memorize list.
 func (s *Sender) MemorizeLen() int { return s.memorizeCount }
@@ -359,7 +362,7 @@ func (s *Sender) OnAck(ack tcp.Ack) {
 	if cum <= s.una {
 		// A duplicate carries no loss signal and never shrinks the
 		// window, but it does testify that one packet left the network.
-		if s.cfg.Hole != HoleFreeze && cum == s.una && len(s.inflight) > 0 {
+		if s.cfg.Hole != HoleFreeze && cum == s.una && s.inflight.Len() > 0 {
 			if s.dupTicks == 0 {
 				s.holeStart = s.env.Now()
 			}
@@ -373,7 +376,7 @@ func (s *Sender) OnAck(ack tcp.Ack) {
 	// lost. Past the classic three-dupack threshold this is exactly the
 	// spurious fast retransmit TCP-PR's timer-only detection avoided.
 	if s.dupTicks >= 3 {
-		if f, ok := s.inflight[s.una]; ok && !f.retx {
+		if f, ok := s.inflight.Get(s.una); ok && !f.retx {
 			s.SpuriousRetxAvoided++
 		}
 	}
@@ -392,12 +395,13 @@ func (s *Sender) OnAck(ack tcp.Ack) {
 	sampled := false
 	coversRetx := false
 	ackedCount := 0
-	for seq, f := range s.inflight {
-		if seq >= cum {
-			continue
+	for {
+		seq, f, ok := s.inflight.Front()
+		if !ok || seq >= cum {
+			break
 		}
+		s.inflight.PopFront()
 		ackedCount++
-		delete(s.inflight, seq)
 		if f.memorized {
 			s.memorizeCount--
 		}
@@ -464,7 +468,7 @@ func (s *Sender) OnAck(ack tcp.Ack) {
 // Reordered-but-alive packets are unaffected: their deadline has not
 // expired (mxrtt bounds the reordering spread by construction).
 func (s *Sender) headOfLineCheck() {
-	if f, ok := s.inflight[s.una]; ok && s.env.Now() > f.sentAt+s.mxrtt {
+	if f, ok := s.inflight.Get(s.una); ok && s.env.Now() > f.sentAt+s.mxrtt {
 		s.onDrop(s.una, f, true)
 	}
 }
@@ -525,7 +529,7 @@ func NewtonRoot(alpha, cwnd float64, n int) float64 {
 // retransmissions. Holes the grace would otherwise delay are detected
 // early by OnAck's fast path the moment a cumulative jump exposes them.
 func (s *Sender) checkDrop(seq int64) {
-	f, ok := s.inflight[seq]
+	f, ok := s.inflight.Get(seq)
 	if !ok {
 		return
 	}
@@ -565,7 +569,7 @@ func (s *Sender) onDrop(seq int64, f *flight, revealed bool) {
 		}
 		s.probe.ProbeLossTimer(s.env.Now(), seq, kind)
 	}
-	delete(s.inflight, seq)
+	s.inflight.Remove(seq)
 
 	if f.memorized {
 		// The burst this packet belonged to was already reacted to:
@@ -605,11 +609,8 @@ func (s *Sender) onDrop(seq int64, f *flight, revealed bool) {
 		// halve from the cwnd in effect when the lost packet was sent.
 		s.Halvings++
 		if !s.cfg.DisableMemorize {
-			s.memorizeCount = 0
-			for _, g := range s.inflight {
-				g.memorized = true
-				s.memorizeCount++
-			}
+			s.inflight.Each(func(_ int64, g *flight) { g.memorized = true })
+			s.memorizeCount = s.inflight.Len()
 		}
 		base := f.cwndAtSend
 		if s.cfg.HalveFromCurrentCwnd {
@@ -671,12 +672,12 @@ func (s *Sender) extremeLoss() {
 	s.mode = SlowStart
 	s.cburst = 0 // the reaction happened; the next burst starts fresh
 	s.inExtremeRec = true
-	for _, g := range s.inflight {
+	s.inflight.Each(func(_ int64, g *flight) {
 		if !g.memorized {
 			g.memorized = true
 			s.memorizeCount++
 		}
-	}
+	})
 	if s.mxrtt < time.Second {
 		s.mxrtt = time.Second
 	}
@@ -748,7 +749,7 @@ func (s *Sender) flush() {
 // point froze (each duplicate proves a delivery). At least the head
 // packet is always counted while anything is outstanding.
 func (s *Sender) flightEstimate() int {
-	est := len(s.inflight) - s.memorizeCount
+	est := s.inflight.Len() - s.memorizeCount
 	// The duplicate-ACK discount (see Config.Hole)
 	// never counts the head packet itself out of the network.
 	disc := s.dupTicks
@@ -786,8 +787,11 @@ func (s *Sender) Done() bool {
 func (s *Sender) Stop() {
 	s.stopped = true
 	s.resumeTimer.Stop()
-	for seq, f := range s.inflight {
-		delete(s.inflight, seq)
+	for {
+		_, f, ok := s.inflight.PopFront()
+		if !ok {
+			break
+		}
 		s.putFlight(f) // cancels the flight's loss timer
 	}
 	s.memorizeCount = 0
@@ -798,7 +802,7 @@ func (s *Sender) Stop() {
 // in-flight loss timers, no resume timer); the invariant checker asserts
 // it right after an abort.
 func (s *Sender) Quiescent() bool {
-	return len(s.inflight) == 0 && !s.resumeTimer.Pending()
+	return s.inflight.Len() == 0 && !s.resumeTimer.Pending()
 }
 
 // nextToSend pops the smallest sequence from the to-be-sent list:
@@ -819,7 +823,7 @@ func (s *Sender) send(seq int64, retx bool) {
 	f := s.newFlight()
 	f.seq, f.sentAt, f.cwndAtSend, f.retx = seq, now, s.cwnd, retx
 	f.timer = s.env.Sched.AtFunc(now+s.mxrtt, s.checkDropFn, f)
-	s.inflight[seq] = f
+	s.inflight.Put(seq, f)
 	if retx {
 		s.lastRetx = now
 		s.hasRetx = true

@@ -154,7 +154,7 @@ func (h *Heartbeat) Attach(sched *sim.Scheduler, every time.Duration) {
 	var tm *sim.Timer
 	tm = sim.NewTimer(sched, func() {
 		h.Beat()
-		if sched.Len() > 0 {
+		if _, ok := sched.NextAt(); ok {
 			tm.ResetAfter(every)
 		}
 	})

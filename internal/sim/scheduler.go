@@ -16,10 +16,18 @@
 // new occupant. The AtFunc/AfterFunc variants additionally avoid the
 // per-call closure by taking a long-lived callback plus an argument, which
 // makes steady-state scheduling fully allocation-free.
+//
+// The pending-event queue is a typed 4-ary min-heap over *Event keyed on
+// (time, insertion sequence). A long TCP-PR run keeps one loss timer per
+// in-flight packet, so the queue routinely holds thousands of entries;
+// the wider fan-out halves the tree height of a binary heap, and the
+// inlined comparisons avoid container/heap's interface dispatch on every
+// sift step. Keys are unique, so the pop order is exactly the (time,
+// sequence) order whatever the heap's shape. Cancelled events stay in the
+// heap and are discarded lazily when they reach the top.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"os"
 	"time"
@@ -173,7 +181,7 @@ func (s *Scheduler) schedule(t Time, fn func(), fnArg func(any), arg any) Handle
 	e.arg = arg
 	e.canceled = false
 	s.seq++
-	heap.Push(&s.events, e)
+	s.events.push(e)
 	return Handle{e: e, gen: e.gen}
 }
 
@@ -228,7 +236,7 @@ func (s *Scheduler) AfterFunc(d time.Duration, fn func(any), arg any) Handle {
 // queue is empty).
 func (s *Scheduler) Step() bool {
 	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*Event)
+		e := s.events.pop()
 		if e.canceled {
 			s.release(e)
 			continue
@@ -304,7 +312,7 @@ func (s *Scheduler) RunUntilCond(limit Time, done func() bool) bool {
 func (s *Scheduler) peek() *Event {
 	for len(s.events) > 0 {
 		if e := s.events[0]; e.canceled {
-			heap.Pop(&s.events)
+			s.events.pop()
 			s.release(e)
 			continue
 		}
@@ -313,38 +321,73 @@ func (s *Scheduler) peek() *Event {
 	return nil
 }
 
-// eventHeap orders events by (time, insertion sequence). The sequence
-// tiebreak makes same-timestamp execution order equal to scheduling order,
-// which keeps simulations deterministic.
+// eventHeap is a 4-ary min-heap ordered by (time, insertion sequence).
+// The sequence tiebreak makes same-timestamp execution order equal to
+// scheduling order, which keeps simulations deterministic. Every entry's
+// index field tracks its slot; pop sets it to -1, which is how a Handle
+// tells a fired event from a pending one.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
+// before reports whether e fires ahead of o.
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push inserts e, sifting it up from the tail.
+func (h *eventHeap) push(e *Event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) >> 2
+		parent := q[p]
+		if !e.before(parent) {
+			break
+		}
+		q[i] = parent
+		parent.index = i
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	e.index = i
+	*h = q
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() *Event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	top.index = -1
+	if n == 0 {
+		return top
+	}
+	// Sift the former tail down from the root: at each level move the
+	// earliest of up to four children up while it fires before last.
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		best := q[c]
+		end := min(c+4, n)
+		for j := c + 1; j < end; j++ {
+			if q[j].before(best) {
+				best, c = q[j], j
+			}
+		}
+		if !best.before(last) {
+			break
+		}
+		q[i] = best
+		best.index = i
+		i = c
+	}
+	q[i] = last
+	last.index = i
+	return top
 }

@@ -111,50 +111,58 @@ func (e *RTOEstimator) Max() time.Duration { return e.maxRTO }
 func (e *RTOEstimator) HasSample() bool { return e.hasRTT }
 
 // SendTimes tracks per-sequence transmission times so senders can take RTT
-// samples under Karn's rule. The zero value is ready to use.
+// samples under Karn's rule. Records live in a SeqWindow, so the per-ACK
+// Forget pops only the newly acknowledged records. The zero value is
+// ready to use.
 type SendTimes struct {
-	times map[int64]sim.Time
-	retx  map[int64]bool
+	w SeqWindow[sendRecord]
+}
+
+// sendRecord is one sequence's last transmission time and whether it was
+// ever retransmitted.
+type sendRecord struct {
+	at   sim.Time
+	retx bool
 }
 
 // Sent records that seq was (re)transmitted at now.
 func (t *SendTimes) Sent(seq int64, now sim.Time, isRetx bool) {
-	if t.times == nil {
-		t.times = make(map[int64]sim.Time)
-		t.retx = make(map[int64]bool)
-	}
-	t.times[seq] = now
-	if isRetx {
-		t.retx[seq] = true
-	}
+	r, _ := t.w.Get(seq)
+	r.at = now
+	r.retx = r.retx || isRetx
+	t.w.Put(seq, r)
 }
 
 // Sample returns the RTT for seq acknowledged at now. ok is false when the
 // segment was retransmitted (Karn's rule) or unknown. The record is kept
 // until Forget.
 func (t *SendTimes) Sample(seq int64, now sim.Time) (rtt time.Duration, ok bool) {
-	sent, found := t.times[seq]
-	if !found || t.retx[seq] {
+	r, found := t.w.Get(seq)
+	if !found || r.retx {
 		return 0, false
 	}
-	return now - sent, true
+	return now - r.at, true
 }
 
 // SentAt returns the last transmission time for seq.
 func (t *SendTimes) SentAt(seq int64) (sim.Time, bool) {
-	at, ok := t.times[seq]
-	return at, ok
+	r, ok := t.w.Get(seq)
+	return r.at, ok
 }
 
 // WasRetx reports whether seq was ever retransmitted.
-func (t *SendTimes) WasRetx(seq int64) bool { return t.retx[seq] }
+func (t *SendTimes) WasRetx(seq int64) bool {
+	r, _ := t.w.Get(seq)
+	return r.retx
+}
 
 // Forget drops every record below seq (they are cumulatively acked).
 func (t *SendTimes) Forget(below int64) {
-	for s := range t.times {
-		if s < below {
-			delete(t.times, s)
-			delete(t.retx, s)
+	for {
+		seq, _, ok := t.w.Front()
+		if !ok || seq >= below {
+			return
 		}
+		t.w.PopFront()
 	}
 }
